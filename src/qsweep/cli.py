@@ -405,14 +405,11 @@ def _run_transmit(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer,
     writer.emit("transmission", ["E_eV", "T", "R"],
                 zip(curve.E.tolist(), curve.T.tolist(), curve.R.tolist()))
     if dump_coefficients:
-        from .recursion import transmission_product
-
-        rows = []
-        for E in grid:
-            t_amp, r_amp, _, _ = transmission_product(dp, float(E), cfg.ctx)
-            rows.append((float(E), t_amp.real, t_amp.imag, r_amp.real, r_amp.imag))
+        t_amp, r_amp = curve.t_amp, curve.r_amp
         writer.emit("coefficients",
-                    ["E_eV", "re_t_amp", "im_t_amp", "re_r_amp", "im_r_amp"], rows)
+                    ["E_eV", "re_t_amp", "im_t_amp", "re_r_amp", "im_r_amp"],
+                    zip(curve.E.tolist(), t_amp.real.tolist(), t_amp.imag.tolist(),
+                        r_amp.real.tolist(), r_amp.imag.tolist()))
 
 
 def _run_wavefunc(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
@@ -478,7 +475,7 @@ def _run_packet(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
 # ---------------------------------------------------------------------------
 # entry points
 
-def run(config_path, *, threads: int = 0, quiet: bool = False,
+def run(config_path, *, quiet: bool = False,
         validate_only: bool = False, dump_coefficients: bool = False) -> int:
     """Execute one run configuration; returns the process exit status."""
     path = Path(config_path)
@@ -516,9 +513,6 @@ def main(argv=None) -> int:
         description="Solve a 1D quantum potential as described by a JSON run configuration.",
     )
     parser.add_argument("config", help="path to the run-configuration file")
-    parser.add_argument("--threads", type=int, default=0, metavar="N",
-                        help="worker hint for energy/mode loops (0 = auto; "
-                             "the current engine evaluates sequentially)")
     parser.add_argument("--quiet", action="store_true", help="suppress per-artifact summaries")
     parser.add_argument("--validate-only", action="store_true",
                         help="check the configuration and exit without computing")
@@ -526,11 +520,8 @@ def main(argv=None) -> int:
                         help="with the transmit task, also write endpoint amplitude "
                              "coefficients per energy")
     args = parser.parse_args(argv)
-    if args.threads < 0:
-        print("error: --threads must be >= 0", file=sys.stderr)
-        return 2
     try:
-        return run(args.config, threads=args.threads, quiet=args.quiet,
+        return run(args.config, quiet=args.quiet,
                    validate_only=args.validate_only,
                    dump_coefficients=args.dump_coefficients)
     except ConfigError as exc:

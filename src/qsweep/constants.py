@@ -12,6 +12,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 HBAR = 0.6582119569        # reduced Planck constant, eV fs
 HBAR_C = 197.3269804       # hbar * c, eV nm
 C_LIGHT = 299.792458       # speed of light, nm / fs
@@ -46,20 +48,27 @@ def wavevector(E: float, U: float, phi: float) -> complex:
     return phi * cmath.sqrt(complex(E - U, 0.0))
 
 
-def step_wavevectors(E: float, u, phi: float) -> list[complex]:
-    """Wavevectors for every potential step at energy E.
+def step_wavevectors(E, u, phi: float) -> np.ndarray:
+    """Wavevectors phi*sqrt(E - u) for every potential step, broadcast over E.
 
-    Steps degenerate with E (|E - U_j| < DEGENERACY_NUDGE_EV) are treated
-    as U_j = E - DEGENERACY_NUDGE_EV, giving a tiny real wavevector
-    instead of an exact zero.
+    E and u broadcast against each other, so a column of step values
+    against a row of energies gives a (steps, energies) block in one call.
+    Same branch as `wavevector`: real positive for E > u, positive
+    imaginary for E < u.  Steps degenerate with E (|E - U_j| <
+    DEGENERACY_NUDGE_EV) are treated as U_j = E - DEGENERACY_NUDGE_EV,
+    giving a tiny real wavevector instead of an exact zero.
     """
-    out = []
-    for uj in u:
-        d = E - uj
-        if abs(d) < DEGENERACY_NUDGE_EV:
-            d = DEGENERACY_NUDGE_EV
-        out.append(phi * cmath.sqrt(complex(d, 0.0)))
-    return out
+    k = np.zeros(np.broadcast_shapes(np.shape(E), np.shape(u)), dtype=complex)
+    root = k.real  # holds E - u until it becomes phi*sqrt|E - u|
+    np.subtract(E, u, out=root)
+    root[np.abs(root) < DEGENERACY_NUDGE_EV] = DEGENERACY_NUDGE_EV
+    forbidden = root < 0.0
+    np.abs(root, out=root)
+    np.sqrt(root, out=root)
+    root *= phi
+    np.copyto(k.imag, root, where=forbidden)
+    np.copyto(root, 0.0, where=forbidden)
+    return k
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,15 @@ import numpy as np
 from .constants import ParticleContext
 from .errors import InvalidEigenvalueError
 from .potential import DiscretizedPotential
-from .recursion import left_sweep, reflection_coefficients, right_sweep
+from .recursion import (
+    finite_prefix,
+    left_sweep,
+    mismatch_sweep,
+    nonfinite_energy,
+    raise_singular,
+    reflection_coefficients,
+    right_sweep,
+)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -60,20 +68,25 @@ class Eigenpair:
     norm_check: float
 
 
+def _interval_nodes(dp: DiscretizedPotential, interval) -> np.ndarray:
+    if interval is None:
+        return np.ones(len(dp.x), dtype=bool)
+    a, b = interval
+    if not a < b:
+        raise ValueError(f"interval must satisfy a < b, got ({a!r}, {b!r})")
+    return (dp.x >= a) & (dp.x <= b)
+
+
 def _allowed_mask(dp: DiscretizedPotential, E: float, interval) -> np.ndarray:
-    mask = dp.u < E
-    if interval is not None:
-        a, b = interval
-        if not a < b:
-            raise ValueError(f"interval must satisfy a < b, got ({a!r}, {b!r})")
-        mask &= (dp.x >= a) & (dp.x <= b)
-    return mask
+    return (dp.u < E) & _interval_nodes(dp, interval)
 
 
 def mismatch(dp: DiscretizedPotential, E: float, ctx: ParticleContext,
              interval=None) -> float:
     """f(E) over the classically allowed steps (inf if there are none)."""
     mask = _allowed_mask(dp, E, interval)
+    if not math.isfinite(E):
+        raise nonfinite_energy(E)
     if not mask.any():
         return math.inf
     k, R, Rbar = reflection_coefficients(dp, E, ctx)
@@ -83,10 +96,24 @@ def mismatch(dp: DiscretizedPotential, E: float, ctx: ParticleContext,
 
 def mismatch_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext,
                    interval=None) -> MismatchCurve:
-    """Elementwise mismatch over an energy grid."""
-    Egrid = np.asarray(Egrid, dtype=float)
-    f = np.array([mismatch(dp, float(E), ctx, interval) for E in Egrid])
-    return MismatchCurve(E=Egrid, f=f, interval=tuple(interval) if interval else None)
+    """`mismatch` over an energy grid, in two energy-batched passes.
+
+    Energies with no allowed step are inf and are not swept.  Errors name
+    the first failing energy in grid order, as a loop over the energies
+    would: a non-finite energy or a singular recursion denominator.
+    """
+    inside = _interval_nodes(dp, interval)
+    E = np.asarray(Egrid, dtype=float)
+    n = finite_prefix(E)
+    f = np.full(n, math.inf)
+    swept = E[:n] > dp.u[inside].min(initial=math.inf)
+    if swept.any():
+        Es = E[:n][swept]
+        f[swept], fail = mismatch_sweep(dp, Es, ctx, inside)
+        raise_singular(Es, fail)
+    if n < len(E):
+        raise nonfinite_energy(E[n])
+    return MismatchCurve(E=E, f=f, interval=tuple(interval) if interval else None)
 
 
 def golden_section_minimize(fn, a: float, b: float, tol: float):

@@ -22,17 +22,24 @@ The branch convention Im k >= 0 makes every exponential in the recursion
 bounded, so nothing overflows; amplitudes under wide classically forbidden
 regions instead decay multiplicatively and may underflow to exactly zero.
 That is accepted: a transmission probability then reports as 0.
+
+The curve functions use the energy-batched sweeps at the end of this
+module: the recursion is sequential in the step but independent across
+energies, so they carry (M,) vectors, one entry per energy, through the
+step loop.  Single-energy callers keep the scalar loops, which are faster
+for one energy.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import ParticleContext, step_wavevectors
-from .errors import NumericalSingularityError
+from .errors import InvalidEnergyError, NumericalSingularityError
 from .potential import DiscretizedPotential
 
 # Denominators below this magnitude mean two adjacent wavevectors cancelled
@@ -109,7 +116,7 @@ def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Left
     Computes R_j, T_j backward from the right boundary (R_{N+1} = 0), then
     the amplitudes forward: A_j = A_{j-1} T_j with A_0 = 1, B_j = A_j R_{j+1}.
     """
-    k = step_wavevectors(E, dp.u.tolist(), ctx.phi)
+    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
     dx = dp.dx.tolist()
     N = len(k) - 1
     R, T = _left_coefficients(k, dx, E)
@@ -133,7 +140,7 @@ def right_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Rig
     then the amplitudes backward: D_j = D_{j+1} Tbar_j with D_{N+1} = 1,
     C_j = D_j Rbar_{j-1}.
     """
-    k = step_wavevectors(E, dp.u.tolist(), ctx.phi)
+    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
     dx = dp.dx.tolist()
     N = len(k) - 1
     Rbar, Tbar = _right_coefficients(k, dx, E)
@@ -156,7 +163,7 @@ def reflection_coefficients(dp: DiscretizedPotential, E: float, ctx: ParticleCon
     Returns (k, R, Rbar) as numpy arrays; this is the cheap pass the
     bound-state mismatch functional needs, skipping A/B/C/D entirely.
     """
-    k = step_wavevectors(E, dp.u.tolist(), ctx.phi)
+    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
     dx = dp.dx.tolist()
     R, _ = _left_coefficients(k, dx, E)
     Rbar, _ = _right_coefficients(k, dx, E)
@@ -171,7 +178,7 @@ def transmission_product(dp: DiscretizedPotential, E: float, ctx: ParticleContex
     (t_amp, r_amp, k_left, k_right) where t_amp = A_N/A_0 = prod_j T_j and
     r_amp = B_0/A_0 = R_1.
     """
-    k = step_wavevectors(E, dp.u.tolist(), ctx.phi)
+    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
     dx = dp.dx.tolist()
     N = len(k) - 1
     exp = cmath.exp
@@ -187,3 +194,177 @@ def transmission_product(dp: DiscretizedPotential, E: float, ctx: ParticleContex
         t_amp = t_amp * (2.0 * ka / den) * ph
         r = (((ka + kb) * r + (ka - kb)) / den) * ph * ph
     return t_amp, r, k[0], k[N]
+
+
+# ---------------------------------------------------------------------------
+# Energy-batched sweeps
+#
+# The sweeps walk the grid in blocks of nodes.  A block's wavevectors are
+# one (rows, M) numpy call, dropped before the next block is made, so no
+# (N, M) array is ever stored; everything else a step needs, its phase
+# included, is formed per step from two rows of k.  The f(E) blocks are its
+# checkpoint segments of ceil(sqrt(N+1)) nodes.  The streaming transmission
+# pass uses the same length but at most _BLOCK_VALUES values per block:
+# smaller blocks cost it no speed (measured at 60 to 2000 energies), while
+# at 2000 energies a sqrt(N)-row block of 480 KiB raised the peak memory of
+# a benchmark scan by 0.4 MB, past that of writing the output.
+_BLOCK_VALUES = 4096  # 64 KiB of complex values
+
+
+def _block_rows(n_nodes: int) -> int:
+    """ceil(sqrt(n_nodes)), the number of nodes per block."""
+    return math.isqrt(n_nodes - 1) + 1
+
+
+def _steps(k, jdx, r, steps, fail, out=None, t=None):
+    """Carry the left recursion through the steps of one block.
+
+    Rows of k are consecutive nodes and jdx holds i dx of the same nodes.
+    Step p joins rows p and p+1 and maps R_{j+1} to R_j with ka = k[p] and
+    kb = k[p+1]; steps run from the last row to the first, starting from
+    r, the coefficient to the right of the block.  Rows passed in reverse
+    order run the right recursion instead: Rbar is the left recursion on
+    the mirrored grid.  steps[p] is the number the single-energy sweep
+    gives step p, recorded in fail on a singular denominator (skipped when
+    fail is None).  R after step p goes to out[p] when out is given; t,
+    when given, is multiplied in place by every T_j.  Returns R at the
+    first row.
+    """
+    tiny = None if fail is None else np.empty((len(k) - 1, k.shape[1]), dtype=bool)
+    for p in range(len(k) - 2, -1, -1):
+        ka = k[p]
+        kb = k[p + 1]
+        ph = np.multiply(ka, jdx[p])
+        np.exp(ph, out=ph)
+        sm = ka + kb
+        dif = ka - kb
+        den = dif * r
+        den += sm
+        if tiny is not None:
+            np.less(np.abs(den), _SINGULARITY_FLOOR, out=tiny[p])
+        r = np.multiply(sm, r, out=None if out is None else out[p])
+        r += dif
+        r /= den
+        r *= ph
+        r *= ph
+        if t is not None:
+            tj = ka + ka
+            tj /= den
+            t *= tj
+            t *= ph
+    if tiny is not None and tiny.any():
+        last = len(tiny) - 1 - np.argmax(tiny[::-1], axis=0)  # first in sweep order
+        hit = tiny.any(axis=0) & (fail == 0)
+        fail[hit] = np.asarray(steps)[last[hit]]
+    return r
+
+
+def raise_singular(E, fail):
+    """Raise for the first energy in grid order whose sweep met a singular
+    denominator; fail[m] > 0 is the step the scalar sweep reports."""
+    if fail.any():
+        m = int(np.argmax(fail > 0))
+        raise NumericalSingularityError(float(E[m]), int(fail[m]))
+
+
+def finite_prefix(E: np.ndarray) -> int:
+    """Number of leading finite energies of a grid."""
+    bad = ~np.isfinite(E)
+    return int(np.argmax(bad)) if bad.any() else len(E)
+
+
+def nonfinite_energy(E) -> InvalidEnergyError:
+    return InvalidEnergyError(f"energy must be finite, got E={float(E)!r} eV")
+
+
+# A singular denominator turns the rest of that energy's sweep into inf and
+# nan; the sweeps record it in fail, so numpy need not warn as well.
+@np.errstate(divide="ignore", invalid="ignore")
+def transmission_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext):
+    """`transmission_product` for an array of finite energies at once.
+
+    One streaming backward pass carries t_amp and r as (M,) vectors.
+    Returns (t_amp, r_amp, k_left, k_right, fail), each of shape (M,);
+    fail[m] is the step whose denominator was singular at E[m], or 0.
+    """
+    N = dp.n_steps
+    B = max(1, min(_block_rows(N + 1), _BLOCK_VALUES // max(len(E), 1)))
+    jdx = 1j * dp.dx
+    r = np.zeros(len(E), dtype=complex)
+    t = np.ones(len(E), dtype=complex)
+    fail = np.zeros(len(E), dtype=int)
+    for hi in range(N, 0, -B):
+        lo = max(hi - B, 0)
+        r = _steps(step_wavevectors(E, dp.u[lo:hi + 1, None], ctx.phi), jdx[lo:hi + 1],
+                   r, range(lo + 1, hi + 1), fail, t=t)
+    k0, kN = step_wavevectors(E, dp.u[[0, -1], None], ctx.phi)
+    return t, r, k0, kN, fail
+
+
+def _segment_mismatch(k, jdx, a_row, r_top, rbar, allowed, steps, fail):
+    """Sum of |Rbar_j R_{j+1} - e^{2ik_j dx_j}| over one segment's nodes.
+
+    k and jdx hold the segment's rows, from a_row on, plus at most one row
+    below it (a_row = 1) that joins it to the segment below.  r_top is
+    R_{j+1} at the segment's top node, rbar is Rbar at the node below the
+    segment (ignored when there is none) and `allowed` masks the terms
+    that count.  Returns (the sum, Rbar at the top node).
+    """
+    terms = np.empty((len(k) - a_row, k.shape[1]), dtype=complex)  # R_{j+1} for now
+    terms[-1] = r_top
+    _steps(k[a_row:], jdx[a_row:], r_top, None, None, out=terms[:-1])
+    Rbar = np.zeros_like(terms)
+    rbar = _steps(k[::-1], jdx[::-1], rbar, steps, fail, out=Rbar[1 - a_row:][::-1])
+    rbar = rbar.copy()  # a view would keep Rbar alive into the next segment
+    terms *= Rbar
+    del Rbar  # free before e2 is made
+    e2 = np.multiply(k[a_row:], 2.0 * jdx[a_row:, None])
+    terms -= np.exp(e2, out=e2)
+    return np.abs(terms).sum(axis=0, where=allowed), rbar
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def mismatch_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext,
+                   inside: np.ndarray):
+    """f(E) for an array of finite energies at once, summed over the nodes
+    where `inside` holds and U < E.
+
+    Each term |Rbar_j R_{j+1} - e^{2ik_j dx_j}| needs the left recursion,
+    which runs down from R_{N+1} = 0, and the right one, which runs up from
+    Rbar_0 = 0.  A backward pass keeps R only at the top of every segment
+    of B = ceil(sqrt(N+1)) nodes; the forward pass then walks the segments
+    upward, recomputes each one's R from its checkpoint and adds its terms
+    (Griewank & Walther, ACM TOMS 26, 2000).  Memory is a few times
+    sqrt(N) M complex values.  Returns (f, fail) with fail as in
+    transmission_sweep, the left recursion's step first.
+    """
+    N = dp.n_steps
+    B = _block_rows(N + 1)
+    M = len(E)
+    jdx = 1j * dp.dx
+    starts = range(0, N + 1, B)
+    fail = np.zeros(M, dtype=int)
+
+    # Segment s holds nodes a..b-1; its block starts one node lower, at lo,
+    # for the step that joins it to the segment below.
+    checkpoints = [None] * len(starts)
+    r = np.zeros(M, dtype=complex)
+    for s in reversed(range(len(starts))):
+        a = starts[s]
+        b = min(a + B, N + 1)
+        lo = max(a - 1, 0)
+        checkpoints[s] = r  # R_b
+        r = _steps(step_wavevectors(E, dp.u[lo:b, None], ctx.phi), jdx[lo:b], r,
+                   range(lo + 1, b), fail)
+
+    f = np.zeros(M)
+    rbar = np.zeros(M, dtype=complex)
+    for s, a in enumerate(starts):
+        b = min(a + B, N + 1)
+        lo = max(a - 1, 0)
+        fs, rbar = _segment_mismatch(step_wavevectors(E, dp.u[lo:b, None], ctx.phi),
+                                     jdx[lo:b], a - lo, checkpoints[s], rbar,
+                                     (dp.u[a:b, None] < E) & inside[a:b, None],
+                                     range(b - 1, lo, -1), fail)
+        f += fs
+    return f, fail

@@ -9,16 +9,26 @@ import numpy as np
 from .constants import ParticleContext
 from .errors import InvalidEnergyError
 from .potential import DiscretizedPotential
-from .recursion import LeftSweep, left_sweep, transmission_product
+from .recursion import (
+    LeftSweep,
+    finite_prefix,
+    left_sweep,
+    nonfinite_energy,
+    raise_singular,
+    transmission_sweep,
+)
 
 
 @dataclass(frozen=True)
 class TransmissionCurve:
-    """Transmission/reflection probabilities over an energy grid."""
+    """Transmission/reflection probabilities over an energy grid, with the
+    endpoint amplitude ratios t_amp = A_N/A_0 and r_amp = B_0/A_0."""
 
     E: np.ndarray
     T: np.ndarray
     R: np.ndarray
+    t_amp: np.ndarray
+    r_amp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -30,47 +40,51 @@ class WaveField:
     E: float
 
 
-def transmission(sweep: LeftSweep, dp: DiscretizedPotential) -> tuple[float, float]:
-    """Transmission and reflection probabilities from a left sweep.
+def _probabilities(E, t_amp, r_amp, k0, kN, singular):
+    """Transmission and reflection probabilities from endpoint amplitudes.
 
-    R = |B_0/A_0|^2 and T = (Re k_N / Re k_0)|A_N/A_0|^2; the current
-    ratio handles unequal asymptotic potentials and reduces to the plain
+    R = |r_amp|^2 and T = (Re k_N / Re k_0)|t_amp|^2; the current ratio
+    handles unequal asymptotic potentials and reduces to the plain
     amplitude ratio when U(x_0) = U(x_N).  If the far side is evanescent
-    (Re k_N = 0) there is no transmitted current and T = 0.
+    (Re k_N = 0) there is no transmitted current and T = 0.  Evanescent
+    incidence is an error.  Errors name the first failing energy in grid
+    order; at one energy a singular sweep (`singular`, as returned by
+    transmission_sweep) comes first, as in the single-energy path.
     """
-    k0 = sweep.k[0]
-    kN = sweep.k[-1]
-    if k0.real <= 0.0:
+    failed = (k0.real <= 0.0) | (singular > 0)
+    if failed.any():
+        m = int(np.argmax(failed))
+        raise_singular(E[m:m + 1], singular[m:m + 1])
         raise InvalidEnergyError(
-            f"evanescent incidence at E={sweep.E!r} eV (E below the entry potential)"
+            f"evanescent incidence at E={float(E[m])!r} eV (E below the entry potential)"
         )
+    R = np.abs(r_amp) ** 2
+    T = np.where(kN.real > 0.0, (kN.real / k0.real) * np.abs(t_amp) ** 2, 0.0)
+    return T, R
+
+
+def transmission(sweep: LeftSweep, dp: DiscretizedPotential) -> tuple[float, float]:
+    """Transmission and reflection probabilities from a left sweep."""
     a0 = sweep.A[0]
-    r = abs(sweep.B[0] / a0) ** 2
-    if kN.real > 0.0:
-        t = (kN.real / k0.real) * abs(sweep.A[-1] / a0) ** 2
-    else:
-        t = 0.0
-    return t, r
+    T, R = _probabilities(np.array([sweep.E]), sweep.A[-1:] / a0, sweep.B[:1] / a0,
+                          sweep.k[:1], sweep.k[-1:], np.zeros(1, dtype=int))
+    return float(T[0]), float(R[0])
 
 
 def transmission_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext) -> TransmissionCurve:
-    """T(E) and R(E) over an energy grid, via the streaming product pass.
+    """T(E) and R(E) over an energy grid, in one energy-batched streaming pass.
 
-    Per-energy failures propagate with the offending energy attached (the
-    singularity error additionally names the step).
+    Errors name the first failing energy in grid order, as a loop over the
+    energies would: a non-finite energy, a singular recursion denominator
+    (the error also names the step) or evanescent incidence.
     """
-    Egrid = np.asarray(Egrid, dtype=float)
-    T = np.empty(len(Egrid))
-    R = np.empty(len(Egrid))
-    for i, E in enumerate(Egrid):
-        t_amp, r_amp, k0, kN = transmission_product(dp, float(E), ctx)
-        if k0.real <= 0.0:
-            raise InvalidEnergyError(
-                f"evanescent incidence at E={E!r} eV (E below the entry potential)"
-            )
-        R[i] = abs(r_amp) ** 2
-        T[i] = (kN.real / k0.real) * abs(t_amp) ** 2 if kN.real > 0.0 else 0.0
-    return TransmissionCurve(E=Egrid, T=T, R=R)
+    E = np.asarray(Egrid, dtype=float)
+    n = finite_prefix(E)
+    t_amp, r_amp, k0, kN, fail = transmission_sweep(dp, E[:n], ctx)
+    T, R = _probabilities(E[:n], t_amp, r_amp, k0, kN, fail)
+    if n < len(E):
+        raise nonfinite_energy(E[n])
+    return TransmissionCurve(E=E, T=T, R=R, t_amp=t_amp, r_amp=r_amp)
 
 
 def sample_wavefunction(sweep: LeftSweep, dp: DiscretizedPotential, xs) -> WaveField:

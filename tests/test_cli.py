@@ -124,11 +124,18 @@ class TestTransmitTask:
     def test_dump_coefficients_flag(self, tmp_path):
         out = tmp_path / "out"
         doc = base_config(out, {"type": "transmit", "Emin": 0.1, "Emax": 1.0, "N_E": 5})
+        doc["potential"] = {"expression": "0.45*exp(-x^2)"}
         path = write_config(tmp_path, doc)
         assert cli.main([str(path), "--quiet", "--dump-coefficients"]) == 0
         _, header, rows = read_csv(out / "coefficients.csv")
         assert header == ["E_eV", "re_t_amp", "im_t_amp", "re_r_amp", "im_r_amp"]
         assert len(rows) == 5
+        # equal asymptotic levels: T = |t_amp|^2 and R = |r_amp|^2 row by row
+        _, _, probs = read_csv(out / "transmission.csv")
+        for (E, tr, ti, rr, ri), (E2, T, R) in zip(rows, probs):
+            assert E == E2
+            assert tr ** 2 + ti ** 2 == pytest.approx(T, rel=1e-9)
+            assert rr ** 2 + ri ** 2 == pytest.approx(R, rel=1e-9)
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "out"
@@ -257,12 +264,14 @@ class TestTablePotential:
         assert cli.main([str(write_config(tmp_path, doc))]) == 2
 
 
-def test_threads_flag_validated(tmp_path):
+def test_threads_flag_refused(tmp_path, capsys):
     doc = base_config(tmp_path / "out", {"type": "transmit", "Emin": 0.1,
                                          "Emax": 1.0, "N_E": 5})
     path = write_config(tmp_path, doc)
-    assert cli.main([str(path), "--threads", "-1"]) == 2
-    assert cli.main([str(path), "--threads", "4", "--quiet"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(path), "--threads", "4", "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_summary_lines_name_artifacts(tmp_path, capsys):
