@@ -49,9 +49,7 @@ from .recursion import (
     LeftSweep,
     RightSweep,
     left_sweep,
-    reflection_coefficients,
     right_sweep,
-    transmission_product,
 )
 from .scattering import (
     TransmissionCurve,
@@ -116,13 +114,11 @@ __all__ = [
     "phi_factor",
     "precompute_modes",
     "read_table",
-    "reflection_coefficients",
     "region_probability",
     "right_sweep",
     "sample_wavefunction",
     "transmission",
     "transmission_curve",
-    "transmission_product",
     "wavefunction_at_nodes",
     "wavevector",
 ]

@@ -390,10 +390,10 @@ class Writer:
 # ---------------------------------------------------------------------------
 # task pipelines
 
-def _field_rows(field):
+def _field_rows(x, psi):
     return [
-        (float(x), p.real, p.imag, abs(p) ** 2)
-        for x, p in zip(field.x, field.psi)
+        (float(xj), p.real, p.imag, abs(p) ** 2)
+        for xj, p in zip(x, psi)
     ]
 
 
@@ -422,7 +422,7 @@ def _run_wavefunc(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
         sweep = left_sweep(dp, E, cfg.ctx)
         field = sample_wavefunction(sweep, dp, xs)
         writer.emit(f"wavefunction_E{E:g}", ["x_nm", "re_psi", "im_psi", "abs2"],
-                    _field_rows(field))
+                    _field_rows(field.x, field.psi))
 
 
 def _run_fofe(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
@@ -441,11 +441,8 @@ def _run_eigen(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
                  for i, c in enumerate(found)])
     for i, cand in enumerate(found):
         pair = eigenfunction(dp, cand.energy, cfg.ctx, interval=task["interval"])
-        rows = [
-            (float(x), p.real, p.imag, abs(p) ** 2)
-            for x, p in zip(dp.x, pair.psi)
-        ]
-        writer.emit(f"eigenfunction_{i + 1}", ["x_nm", "re_psi", "im_psi", "abs2"], rows)
+        writer.emit(f"eigenfunction_{i + 1}", ["x_nm", "re_psi", "im_psi", "abs2"],
+                    _field_rows(dp.x, pair.psi))
 
 
 def _run_packet(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
@@ -462,7 +459,7 @@ def _run_packet(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
     for t in task["times"]:
         field = evolve(packet, cache, t, xs)
         writer.emit(f"packet_t{t:g}", ["x_nm", "re_psi", "im_psi", "abs2"],
-                    _field_rows(field))
+                    _field_rows(field.x, field.psi))
         total = region_probability(field, float(xs[0]) - 1e-9, float(xs[-1]) + 1e-9)
         row = [t, total]
         if task["region"] is not None:

@@ -78,20 +78,24 @@ def _interval_nodes(dp: DiscretizedPotential, interval) -> np.ndarray:
 
 
 def _allowed_mask(dp: DiscretizedPotential, E: float, interval) -> np.ndarray:
+    if not math.isfinite(E):
+        raise nonfinite_energy(E)
     return (dp.u < E) & _interval_nodes(dp, interval)
+
+
+def _mismatch_sum(k, R, Rbar, dp: DiscretizedPotential, mask) -> float:
+    """sum over the masked steps of |Rbar_j R_{j+1} - e^{2ik_j dx_j}|."""
+    terms = np.abs(Rbar * R[1:] - np.exp(2j * k * dp.dx))
+    return float(terms[mask].sum())
 
 
 def mismatch(dp: DiscretizedPotential, E: float, ctx: ParticleContext,
              interval=None) -> float:
     """f(E) over the classically allowed steps (inf if there are none)."""
     mask = _allowed_mask(dp, E, interval)
-    if not math.isfinite(E):
-        raise nonfinite_energy(E)
     if not mask.any():
         return math.inf
-    k, R, Rbar = reflection_coefficients(dp, E, ctx)
-    terms = np.abs(Rbar * R[1:] - np.exp(2j * k * dp.dx))
-    return float(terms[mask].sum())
+    return _mismatch_sum(*reflection_coefficients(dp, E, ctx), dp, mask)
 
 
 def mismatch_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext,
@@ -234,8 +238,7 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
 
     ls = left_sweep(dp, energy, ctx)
     rs = right_sweep(dp, energy, ctx)
-    terms = np.abs(rs.Rbar * ls.R[1:] - np.exp(2j * ls.k * dp.dx))
-    residual = float(terms[mask].sum())
+    residual = _mismatch_sum(ls.k, ls.R, rs.Rbar, dp, mask)
 
     N = dp.n_steps
     psi = np.zeros(N + 1, dtype=complex)

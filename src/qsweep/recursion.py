@@ -23,11 +23,12 @@ bounded, so nothing overflows; amplitudes under wide classically forbidden
 regions instead decay multiplicatively and may underflow to exactly zero.
 That is accepted: a transmission probability then reports as 0.
 
-The curve functions use the energy-batched sweeps at the end of this
-module: the recursion is sequential in the step but independent across
-energies, so they carry (M,) vectors, one entry per energy, through the
-step loop.  Single-energy callers keep the scalar loops, which are faster
-for one energy.
+The right recursion is the left one on the mirrored grid (k and dx
+reversed), so one step update serves both directions.  The curve functions
+use the energy-batched sweeps at the end of this module: the recursion is
+sequential in the step but independent across energies, so they carry (M,)
+vectors, one entry per energy, through the step loop.  Single-energy
+callers keep the scalar loop, which is faster for one energy.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -72,6 +75,13 @@ class RightSweep:
     D: np.ndarray
 
 
+def _scalar_grid(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
+    """Wavevectors and step widths as lists, where a scalar sweep starts."""
+    if not math.isfinite(E):
+        raise nonfinite_energy(E)
+    return step_wavevectors(E, dp.u, ctx.phi).tolist(), dp.dx.tolist()
+
+
 def _left_coefficients(k, dx, E):
     """Backward recursion for step coefficients R_j, T_j (j = N..1)."""
     N = len(k) - 1
@@ -91,23 +101,25 @@ def _left_coefficients(k, dx, E):
     return R, T
 
 
-def _right_coefficients(k, dx, E):
-    """Forward recursion for step coefficients Rbar_j, Tbar_j (j = 1..N)."""
-    N = len(k) - 1
-    Rbar = [0j] * (N + 1)
-    Tbar = [0j] * (N + 1)
-    exp = cmath.exp
-    for j in range(1, N + 1):
-        ka = k[j]
-        kb = k[j - 1]
-        rprev = Rbar[j - 1]
-        den = (ka - kb) * rprev + (ka + kb)
-        if abs(den) < _SINGULARITY_FLOOR:
-            raise NumericalSingularityError(E, j)
-        ph = exp(1j * (ka * dx[j]))
-        Tbar[j] = (2.0 * ka / den) * ph
-        Rbar[j] = (((ka + kb) * rprev + (ka - kb)) / den) * ph * ph
-    return Rbar, Tbar
+def _left_solution(k, dx, E):
+    """R, T, A, B of the left-incidence solution, as lists: A_0 = 1,
+    A_j = A_{j-1} T_j and B_j = A_j R_{j+1}."""
+    R, T = _left_coefficients(k, dx, E)
+    A = list(accumulate(T[1:], mul, initial=1.0 + 0j))
+    B = [a * r for a, r in zip(A, R[1:])]
+    return R, T, A, B
+
+
+def _mirrored(left, k, dx, E):
+    """`left` run on the mirrored grid, which makes it the right recursion.
+
+    Step j' of the mirrored grid is step N + 1 - j' of the grid, and a
+    singular step is reported under that number.
+    """
+    try:
+        return left(k[::-1], dx[::-1], E)
+    except NumericalSingularityError as exc:
+        raise NumericalSingularityError(E, len(k) - exc.step) from None
 
 
 def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> LeftSweep:
@@ -116,19 +128,8 @@ def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Left
     Computes R_j, T_j backward from the right boundary (R_{N+1} = 0), then
     the amplitudes forward: A_j = A_{j-1} T_j with A_0 = 1, B_j = A_j R_{j+1}.
     """
-    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
-    dx = dp.dx.tolist()
-    N = len(k) - 1
-    R, T = _left_coefficients(k, dx, E)
-    A = [0j] * (N + 1)
-    B = [0j] * (N + 1)
-    a = 1.0 + 0j
-    A[0] = a
-    for j in range(1, N + 1):
-        a = a * T[j]
-        A[j] = a
-    for j in range(N + 1):
-        B[j] = A[j] * R[j + 1]
+    k, dx = _scalar_grid(dp, E, ctx)
+    R, T, A, B = _left_solution(k, dx, E)
     return LeftSweep(E=E, k=np.array(k), R=np.array(R), T=np.array(T),
                      A=np.array(A), B=np.array(B))
 
@@ -136,25 +137,16 @@ def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Left
 def right_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> RightSweep:
     """Full right-incidence solution at energy E.
 
-    Computes Rbar_j, Tbar_j forward from the left boundary (Rbar_0 = 0),
-    then the amplitudes backward: D_j = D_{j+1} Tbar_j with D_{N+1} = 1,
-    C_j = D_j Rbar_{j-1}.
+    This is the left-incidence solution of the mirrored grid, read back in
+    grid order: Rbar_j, Tbar_j run forward from the left boundary
+    (Rbar_0 = 0), the amplitudes backward: D_j = D_{j+1} Tbar_j with
+    D_{N+1} = 1, C_j = D_j Rbar_{j-1}.
     """
-    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
-    dx = dp.dx.tolist()
-    N = len(k) - 1
-    Rbar, Tbar = _right_coefficients(k, dx, E)
-    C = [0j] * (N + 2)
-    D = [0j] * (N + 2)
-    d = 1.0 + 0j
-    D[N + 1] = d
-    for j in range(N, 0, -1):
-        d = d * Tbar[j]
-        D[j] = d
-    for j in range(1, N + 2):
-        C[j] = D[j] * Rbar[j - 1]
-    return RightSweep(E=E, k=np.array(k), Rbar=np.array(Rbar), Tbar=np.array(Tbar),
-                      C=np.array(C), D=np.array(D))
+    k, dx = _scalar_grid(dp, E, ctx)
+    R, T, A, B = _mirrored(_left_solution, k, dx, E)
+    return RightSweep(E=E, k=np.array(k), Rbar=np.array(R[:0:-1]),
+                      Tbar=np.array([0j] + T[:0:-1]), C=np.array([0j] + B[::-1]),
+                      D=np.array([0j] + A[::-1]))
 
 
 def reflection_coefficients(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
@@ -163,37 +155,10 @@ def reflection_coefficients(dp: DiscretizedPotential, E: float, ctx: ParticleCon
     Returns (k, R, Rbar) as numpy arrays; this is the cheap pass the
     bound-state mismatch functional needs, skipping A/B/C/D entirely.
     """
-    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
-    dx = dp.dx.tolist()
+    k, dx = _scalar_grid(dp, E, ctx)
     R, _ = _left_coefficients(k, dx, E)
-    Rbar, _ = _right_coefficients(k, dx, E)
-    return np.array(k), np.array(R), np.array(Rbar)
-
-
-def transmission_product(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
-    """Streaming fast path for transmission-only scans.
-
-    Runs the backward step recursion keeping only the running product of
-    T_j, so no O(N) coefficient arrays are stored.  Returns
-    (t_amp, r_amp, k_left, k_right) where t_amp = A_N/A_0 = prod_j T_j and
-    r_amp = B_0/A_0 = R_1.
-    """
-    k = step_wavevectors(E, dp.u, ctx.phi).tolist()
-    dx = dp.dx.tolist()
-    N = len(k) - 1
-    exp = cmath.exp
-    r = 0j
-    t_amp = 1.0 + 0j
-    for j in range(N, 0, -1):
-        ka = k[j - 1]
-        kb = k[j]
-        den = (ka - kb) * r + (ka + kb)
-        if abs(den) < _SINGULARITY_FLOOR:
-            raise NumericalSingularityError(E, j)
-        ph = exp(1j * (ka * dx[j - 1]))
-        t_amp = t_amp * (2.0 * ka / den) * ph
-        r = (((ka + kb) * r + (ka - kb)) / den) * ph * ph
-    return t_amp, r, k[0], k[N]
+    Rm, _ = _mirrored(_left_coefficients, k, dx, E)
+    return np.array(k), np.array(R), np.array(Rm[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +246,11 @@ def nonfinite_energy(E) -> InvalidEnergyError:
 # nan; the sweeps record it in fail, so numpy need not warn as well.
 @np.errstate(divide="ignore", invalid="ignore")
 def transmission_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext):
-    """`transmission_product` for an array of finite energies at once.
+    """Endpoint amplitudes t_amp = A_N/A_0 = prod_j T_j and r_amp = B_0/A_0
+    for an array of finite energies at once.
 
-    One streaming backward pass carries t_amp and r as (M,) vectors.
+    One streaming backward pass carries t_amp and r as (M,) vectors, so no
+    per-step array is stored.
     Returns (t_amp, r_amp, k_left, k_right, fail), each of shape (M,);
     fail[m] is the step whose denominator was singular at E[m], or 0.
     """

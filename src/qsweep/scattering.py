@@ -87,11 +87,12 @@ def transmission_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext) ->
     return TransmissionCurve(E=E, T=T, R=R, t_amp=t_amp, r_amp=r_amp)
 
 
-def sample_wavefunction(sweep: LeftSweep, dp: DiscretizedPotential, xs) -> WaveField:
-    """Evaluate the swept solution at arbitrary positions inside the grid.
+def field_sampler(dp: DiscretizedPotential, xs):
+    """Check and locate sample positions xs on the grid, once.
 
-    Within step j the field is A_j e^{ik_j(x-x_j)} + B_j e^{-ik_j(x-x_j)};
-    at the nodes themselves this reduces to A_j + B_j.
+    Returns (xs as an array, field), where field(sweep) evaluates a swept
+    solution at xs: within step j it is A_j e^{ik_j(x-x_j)} +
+    B_j e^{-ik_j(x-x_j)}, at the nodes themselves A_j + B_j.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -103,9 +104,18 @@ def sample_wavefunction(sweep: LeftSweep, dp: DiscretizedPotential, xs) -> WaveF
     j = np.searchsorted(dp.x, xs, side="right") - 1
     np.clip(j, 0, dp.n_steps, out=j)
     rel = xs - dp.x[j]
-    kj = sweep.k[j]
-    psi = sweep.A[j] * np.exp(1j * kj * rel) + sweep.B[j] * np.exp(-1j * kj * rel)
-    return WaveField(x=xs, psi=psi, E=sweep.E)
+
+    def field(sweep: LeftSweep) -> np.ndarray:
+        kj = sweep.k[j]
+        return sweep.A[j] * np.exp(1j * kj * rel) + sweep.B[j] * np.exp(-1j * kj * rel)
+
+    return xs, field
+
+
+def sample_wavefunction(sweep: LeftSweep, dp: DiscretizedPotential, xs) -> WaveField:
+    """Evaluate the swept solution at arbitrary positions inside the grid."""
+    xs, field = field_sampler(dp, xs)
+    return WaveField(x=xs, psi=field(sweep), E=sweep.E)
 
 
 def wavefunction_at_nodes(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> WaveField:

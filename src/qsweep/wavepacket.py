@@ -24,6 +24,7 @@ from .constants import HBAR, PLANCK_H, ParticleContext
 from .errors import InvalidDesignError
 from .potential import DiscretizedPotential
 from .recursion import LeftSweep, left_sweep
+from .scattering import WaveField, field_sampler
 
 # The Gaussian coefficient envelope is negligible beyond this many widths.
 KAPPA_HALF_RANGE_SIGMAS = 3.5
@@ -122,37 +123,25 @@ def precompute_modes(dp: DiscretizedPotential, packet: WavePacket,
 def evolve(packet: WavePacket, cache: ModeCache, t: float, xs):
     """Superpose the cached modes at time t over sample positions xs.
 
-    Positions must lie inside the cached grid.  Times beyond the packet's
-    t_max only trigger a warning: adjacent-mode phases have then wrapped
-    and the superposition gradually loses meaning rather than failing.
+    Positions must lie inside the cached grid and t must be finite and
+    nonnegative.  Times beyond the packet's t_max only trigger a warning:
+    adjacent-mode phases have then wrapped and the superposition gradually
+    loses meaning rather than failing.
     """
-    from .scattering import WaveField
-
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"need a finite t >= 0, got {t!r}")
     if t > packet.t_max:
         warnings.warn(
             f"t={t!r} fs exceeds the packet validity bound t_max={packet.t_max:.4g} fs",
             RuntimeWarning,
             stacklevel=2,
         )
-    xg = cache.dp.x
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("no sample positions given")
-    if xs.min() < xg[0] or xs.max() > xg[-1]:
-        raise ValueError(f"samples must lie in [{xg[0]!r}, {xg[-1]!r}] nm")
-    j = np.searchsorted(xg, xs, side="right") - 1
-    np.clip(j, 0, cache.dp.n_steps, out=j)
-    rel = xs - xg[j]
-
+    xs, field = field_sampler(cache.dp, xs)
     total = np.zeros(xs.shape, dtype=complex)
-    shift = packet.x0 - float(xg[0])
+    shift = packet.x0 - float(cache.dp.x[0])
     for cn, kap, En, sw in zip(packet.c, packet.kappa, packet.E, cache.sweeps):
-        kj = sw.k[j]
-        field = sw.A[j] * np.exp(1j * kj * rel) + sw.B[j] * np.exp(-1j * kj * rel)
         phase = cmath.exp(-1j * (En * t / HBAR + kap * shift))
-        total += (cn * phase) * field
+        total += (cn * phase) * field(sw)
     total *= packet.dkappa / math.sqrt(2.0 * math.pi)
     central = float(packet.kappa0**2 * packet.E[0] / packet.kappa[0] ** 2)
     return WaveField(x=xs, psi=total, E=central)

@@ -30,7 +30,7 @@ from qsweep import (
     right_sweep,
     sample_wavefunction,
     transmission,
-    transmission_product,
+    transmission_curve,
 )
 
 
@@ -91,8 +91,7 @@ def resonance_run(electron):
     dp = discretize(spec, -5.0, 5.0, 500)
 
     def t_of(E: float) -> float:
-        t_amp, _, k0, kN = transmission_product(dp, E, electron)
-        return (kN.real / k0.real) * abs(t_amp) ** 2
+        return transmission(left_sweep(dp, E, electron), dp)[0]
 
     e_res, neg_t, _ = golden_section_minimize(lambda E: -t_of(E), 0.06, 0.075, 1e-9)
     return dp, t_of, e_res, -neg_t
@@ -218,10 +217,9 @@ def test_criterion_7_conservation_suite(electron):
         rs = right_sweep(dp, E, electron)
         t, r = transmission(ls, dp)
         worst_sum = max(worst_sum, abs(t + r - 1.0))
-        t_amp, _, k0, kN = transmission_product(dp, E, electron)
-        t_prod = (kN.real / k0.real) * abs(t_amp) ** 2
+        t_prod = transmission_curve(dp, [E], electron).T[0]
         worst_form = max(worst_form, abs(t_prod - t) / max(t, 1e-300))
-        t_right = (k0.real / kN.real) * abs(rs.D[1] / rs.D[-1]) ** 2
+        t_right = (ls.k[0].real / ls.k[-1].real) * abs(rs.D[1] / rs.D[-1]) ** 2
         worst_recip = max(worst_recip, abs(t - t_right))
     ok = worst_sum <= 1e-9 and worst_form <= 1e-12 and worst_recip <= 1e-10
     report("7 conservation suite (1000 random pairs)", ok,

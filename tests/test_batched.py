@@ -1,5 +1,6 @@
 """The energy-batched curves against the single-energy sweeps they replace."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,18 +10,24 @@ from hypothesis import strategies as st
 
 from qsweep import (
     DiscretizedPotential,
+    design_packet,
     discretize,
+    eigenfunction,
+    evolve,
+    left_sweep,
     make_builtin,
     mismatch,
     mismatch_curve,
+    precompute_modes,
+    right_sweep,
     transmission_curve,
+    wavefunction_at_nodes,
 )
 from qsweep import recursion
 from qsweep.constants import step_wavevectors
 from qsweep.errors import InvalidEnergyError, NumericalSingularityError
-from qsweep.recursion import transmission_product
 
-# The batched recursion rounds differently from the scalar loops (numpy's
+# The batched recursion rounds differently from the scalar loop (numpy's
 # complex division is not Python's); near an eigenvalue f is a sum of
 # cancelling terms, hence the small absolute allowance next to the
 # relative one.
@@ -48,8 +55,9 @@ def step_tables(draw, max_steps=40):
 
 
 def scalar_curve(dp, grid, ctx):
-    rows = [transmission_product(dp, float(E), ctx) for E in grid]
-    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    """t_amp = A_N and r_amp = B_0 of the single-energy left sweeps."""
+    sweeps = [left_sweep(dp, float(E), ctx) for E in grid]
+    return np.array([sw.A[-1] for sw in sweeps]), np.array([sw.B[0] for sw in sweeps])
 
 
 def energies(lo, hi):
@@ -194,7 +202,7 @@ def test_injected_singularity_names_the_scalar_energy_and_step(
     grid = np.array([0.3, 0.5, 0.7, 0.9])
     monkeypatch.setattr(recursion, "step_wavevectors", cancelling_wavevectors([0.7, 0.5]))
     dp = marked_potential(node, barrier)
-    pairs = {"T": (transmission_curve, lambda E: transmission_product(dp, E, electron)),
+    pairs = {"T": (transmission_curve, lambda E: left_sweep(dp, E, electron)),
              "f": (mismatch_curve, lambda E: mismatch(dp, E, electron))}
     for name in curves:
         curve, single = pairs[name]
@@ -203,6 +211,13 @@ def test_injected_singularity_names_the_scalar_energy_and_step(
             curve(dp, grid, electron)
         assert err.value.energy == expected.energy == 0.5
         assert err.value.step == expected.step
+    # The right recursion runs forward from Rbar_0 = 0 over flat u = 0 and
+    # meets the cancelling pair at step j = node, which joins nodes j - 1
+    # and j (step 1, joining nodes 0 and 1, when the node is 0); the error
+    # names that grid step, not the step of the mirrored grid.
+    with pytest.raises(NumericalSingularityError) as err:
+        right_sweep(dp, 0.5, electron)
+    assert (err.value.energy, err.value.step) == (0.5, max(node, 1))
 
 
 def test_errors_follow_grid_order(electron, monkeypatch):
@@ -244,3 +259,28 @@ class TestNonFiniteEnergies:
             mismatch(dp, math.nan, electron)
         with pytest.raises(InvalidEnergyError, match="inf"):
             mismatch(dp, math.inf, electron)
+
+    def test_single_energy_sweeps(self, dp, electron):
+        with pytest.raises(InvalidEnergyError, match="nan"):
+            left_sweep(dp, math.nan, electron)
+        with pytest.raises(InvalidEnergyError, match="inf"):
+            right_sweep(dp, math.inf, electron)
+        with pytest.raises(InvalidEnergyError, match="nan"):
+            wavefunction_at_nodes(dp, math.nan, electron)
+
+    def test_packet_modes(self, dp, electron):
+        packet = design_packet(0.3, dE=0.05, n_modes=5, x0=-1.0, ctx=electron)
+        packet = dataclasses.replace(packet, E=np.append(packet.E[:-1], math.nan))
+        with pytest.raises(InvalidEnergyError, match="nan"):
+            precompute_modes(dp, packet, electron)
+
+    def test_eigenfunction(self, dp, electron):
+        with pytest.raises(InvalidEnergyError, match="nan"):
+            eigenfunction(dp, math.nan, electron)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_evolve_time(self, dp, electron, t):
+        packet = design_packet(0.3, dE=0.05, n_modes=5, x0=-1.0, ctx=electron)
+        cache = precompute_modes(dp, packet, electron)
+        with pytest.raises(ValueError, match="finite"):
+            evolve(packet, cache, t, dp.x)

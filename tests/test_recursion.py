@@ -10,7 +10,6 @@ from qsweep import (
     make_expression,
     oracle,
     right_sweep,
-    transmission_product,
 )
 from qsweep.errors import NumericalSingularityError
 from qsweep.recursion import _left_coefficients
@@ -147,19 +146,6 @@ class TestConservation:
             E = float(dp.u.max() + rng.uniform(0.05, 1.0))  # all steps propagating
             sw = left_sweep(dp, E, electron)
             assert np.all(np.abs(sw.R) <= 1.0 + 1e-12)
-
-
-class TestFastPath:
-    def test_product_equals_amplitude_form(self, electron):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            dp = random_structure(rng)
-            E = float(rng.uniform(0.05, 1.5))
-            sw = left_sweep(dp, E, electron)
-            t_amp, r_amp, k0, kN = transmission_product(dp, E, electron)
-            assert t_amp == pytest.approx(sw.A[-1] / sw.A[0], rel=1e-12)
-            assert r_amp == pytest.approx(sw.B[0] / sw.A[0], rel=1e-12)
-            assert k0 == sw.k[0] and kN == sw.k[-1]
 
 
 def test_singularity_guard_raises():

@@ -135,14 +135,12 @@ class TestSampleWavefunction:
 
     def test_resonant_intrawell_amplification(self, electron):
         from qsweep import REFERENCE_DOUBLE_BARRIER, golden_section_minimize
-        from qsweep.recursion import transmission_product
 
         spec = make_builtin("double_barrier_vwell", REFERENCE_DOUBLE_BARRIER)
         dp = discretize(spec, -5, 5, 500)
 
         def neg_t(E):
-            t_amp, _, k0, kN = transmission_product(dp, E, electron)
-            return -(kN.real / k0.real) * abs(t_amp) ** 2
+            return -transmission(left_sweep(dp, E, electron), dp)[0]
 
         e_res, _, _ = golden_section_minimize(neg_t, 0.06, 0.075, 1e-9)
         sw = left_sweep(dp, e_res, electron)
