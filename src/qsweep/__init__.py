@@ -16,8 +16,6 @@ from .constants import (
     HBAR_C,
     PLANCK_H,
     ParticleContext,
-    phi_factor,
-    wavevector,
 )
 from .eigen import (
     Eigenpair,
@@ -25,7 +23,6 @@ from .eigen import (
     MismatchCurve,
     eigenfunction,
     find_eigenvalues,
-    golden_section_minimize,
     mismatch,
     mismatch_curve,
 )
@@ -36,13 +33,9 @@ from .potential import (
     PotentialEvalError,
     PotentialSpec,
     discretize,
-    eval_expr,
-    expr_to_text,
-    format_table,
     load_table,
     make_builtin,
     make_expression,
-    parse_potential_expr,
     read_table,
 )
 from .recursion import (
@@ -57,7 +50,6 @@ from .scattering import (
     sample_wavefunction,
     transmission,
     transmission_curve,
-    wavefunction_at_nodes,
 )
 from .wavepacket import (
     ModeCache,
@@ -95,13 +87,9 @@ __all__ = [
     "discretize",
     "eigenfunction",
     "errors",
-    "eval_expr",
     "evolve",
-    "expr_to_text",
     "find_eigenvalues",
     "fit_lifetime",
-    "format_table",
-    "golden_section_minimize",
     "group_velocity",
     "left_sweep",
     "load_table",
@@ -110,8 +98,6 @@ __all__ = [
     "mismatch",
     "mismatch_curve",
     "oracle",
-    "parse_potential_expr",
-    "phi_factor",
     "precompute_modes",
     "read_table",
     "region_probability",
@@ -119,6 +105,4 @@ __all__ = [
     "sample_wavefunction",
     "transmission",
     "transmission_curve",
-    "wavefunction_at_nodes",
-    "wavevector",
 ]

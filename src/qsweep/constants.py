@@ -8,9 +8,8 @@ so k = phi*sqrt(E - U) is in nm^-1.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,19 +32,9 @@ def phi_factor(mass: float) -> float:
     `mass` is the particle rest energy m*c^2 in eV; 511 keV gives the
     electron value 5.1232.
     """
-    if mass <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass!r}")
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass!r}")
     return math.sqrt(2.0 * mass) / HBAR_C
-
-
-def wavevector(E: float, U: float, phi: float) -> complex:
-    """Complex wavevector phi*sqrt(E - U), principal branch.
-
-    For E > U the result is real positive; for E < U it is purely
-    imaginary with positive imaginary part, so exp(+ik*(x - x_j)) is the
-    component that decays to the right inside a barrier.
-    """
-    return phi * cmath.sqrt(complex(E - U, 0.0))
 
 
 def step_wavevectors(E, u, phi: float) -> np.ndarray:
@@ -53,8 +42,9 @@ def step_wavevectors(E, u, phi: float) -> np.ndarray:
 
     E and u broadcast against each other, so a column of step values
     against a row of energies gives a (steps, energies) block in one call.
-    Same branch as `wavevector`: real positive for E > u, positive
-    imaginary for E < u.  Steps degenerate with E (|E - U_j| <
+    Principal branch: real positive for E > u; positive imaginary for
+    E < u, so exp(+ik*(x - x_j)) is the component that decays to the right
+    inside a barrier.  Steps degenerate with E (|E - U_j| <
     DEGENERACY_NUDGE_EV) are treated as U_j = E - DEGENERACY_NUDGE_EV,
     giving a tiny real wavevector instead of an exact zero.
     """
@@ -73,28 +63,14 @@ def step_wavevectors(E, u, phi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParticleContext:
-    """A particle of fixed rest energy plus the unit-system constants.
+    """A particle of fixed rest energy; phi is derived from the mass."""
 
-    `phi` must equal sqrt(2*mass)/hbar_c; use `for_mass` instead of
-    spelling the factor out by hand.
-    """
-
-    mass: float                # rest energy m*c^2, eV
-    phi: float                 # sqrt(2*mass)/hbar_c, eV^-1/2 nm^-1
-    hbar: float = HBAR         # eV fs
-    hbar_c: float = HBAR_C     # eV nm
-    c: float = C_LIGHT         # nm / fs
+    mass: float                           # rest energy m*c^2, eV
+    phi: float = field(init=False)        # sqrt(2*mass)/hbar_c, eV^-1/2 nm^-1
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.mass!r}")
-        expected = math.sqrt(2.0 * self.mass) / self.hbar_c
-        if not math.isclose(self.phi, expected, rel_tol=1e-12):
-            raise ValueError(
-                f"phi={self.phi!r} inconsistent with mass={self.mass!r} "
-                f"(expected {expected!r})"
-            )
+        object.__setattr__(self, "phi", phi_factor(self.mass))
 
     @classmethod
     def for_mass(cls, mass: float) -> "ParticleContext":
-        return cls(mass=mass, phi=phi_factor(mass))
+        return cls(mass=mass)

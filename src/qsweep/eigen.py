@@ -23,12 +23,10 @@ from .errors import InvalidEigenvalueError
 from .potential import DiscretizedPotential
 from .recursion import (
     finite_prefix,
-    left_sweep,
     mismatch_sweep,
     nonfinite_energy,
     raise_singular,
     reflection_coefficients,
-    right_sweep,
 )
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -95,7 +93,8 @@ def mismatch(dp: DiscretizedPotential, E: float, ctx: ParticleContext,
     mask = _allowed_mask(dp, E, interval)
     if not mask.any():
         return math.inf
-    return _mismatch_sum(*reflection_coefficients(dp, E, ctx), dp, mask)
+    k, R, _, Rbar, _ = reflection_coefficients(dp, E, ctx)
+    return _mismatch_sum(k, R, Rbar, dp, mask)
 
 
 def mismatch_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext,
@@ -210,14 +209,14 @@ def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: in
 
 
 def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
-                  interval=None, match_index: int | None = None) -> Eigenpair:
+                  interval=None) -> Eigenpair:
     """Assemble the normalized eigenfunction at the grid nodes.
 
-    The left- and right-incidence fields are stitched at a matching step h
-    inside the classically allowed region (default: the step of minimum
-    potential there, where both components propagate and the matching
-    relation D_h = A_h (1 + R_{h+1})/(1 + Rbar_{h-1}) is best conditioned).
-    With A_h = 1 the nodes j >= h take A_j + B_j from the left-incidence
+    The left- and right-incidence fields are stitched at the matching step
+    h of minimum potential inside the classically allowed region, where
+    both components propagate and the matching relation
+    D_h = A_h (1 + R_{h+1})/(1 + Rbar_{h-1}) is best conditioned.  With
+    A_h = 1 the nodes j >= h take A_j + B_j from the left-incidence
     coefficients and the nodes j < h take C_j + D_j from the right-incidence
     ones; the result is then normalized so sum |psi_j|^2 dx_j = 1.
     """
@@ -226,40 +225,32 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
         raise InvalidEigenvalueError(
             f"no classically allowed grid point at E={energy!r} eV"
         )
-    if match_index is None:
-        allowed = np.flatnonzero(mask)
-        h = int(allowed[np.argmin(dp.u[allowed])])
-    else:
-        h = int(match_index)
-        if not mask[h]:
-            raise InvalidEigenvalueError(
-                f"match_index {h} is not classically allowed at E={energy!r} eV"
-            )
+    allowed = np.flatnonzero(mask)
+    h = int(allowed[np.argmin(dp.u[allowed])])
 
-    ls = left_sweep(dp, energy, ctx)
-    rs = right_sweep(dp, energy, ctx)
-    residual = _mismatch_sum(ls.k, ls.R, rs.Rbar, dp, mask)
+    k, R, T, Rbar, Tbar = reflection_coefficients(dp, energy, ctx)
+    residual = _mismatch_sum(k, R, Rbar, dp, mask)
 
     N = dp.n_steps
     psi = np.zeros(N + 1, dtype=complex)
 
     # Right of the match: rescale the left-incidence solution to A_h = 1.
     a = 1.0 + 0j
-    psi[h] = a * (1.0 + ls.R[h + 1])
+    psi[h] = a * (1.0 + R[h + 1])
     for j in range(h + 1, N + 1):
-        a = a * ls.T[j]
-        psi[j] = a * (1.0 + ls.R[j + 1])
+        a = a * T[j]
+        psi[j] = a * (1.0 + R[j + 1])
 
     # Left of the match: right-incidence solution scaled by the matching
     # relation, walked outward with D_j = D_{j+1} Tbar_j.
     if h > 0:
-        d = (1.0 + ls.R[h + 1]) / (1.0 + rs.Rbar[h - 1])
+        d = (1.0 + R[h + 1]) / (1.0 + Rbar[h - 1])
         for j in range(h - 1, 0, -1):
-            d = d * rs.Tbar[j]
-            psi[j] = d * (1.0 + rs.Rbar[j - 1])
+            d = d * Tbar[j]
+            psi[j] = d * (1.0 + Rbar[j - 1])
         # Node x_0 sits at the far edge of step 0, referenced to x_1:
         # psi_0(x_0) = C_1 e^{-ik_0 dx_0} + D_1 e^{ik_0 dx_0} with C_1 = 0.
-        psi[0] = d * np.exp(1j * ls.k[0] * dp.dx[0])
+        psi[0] = d * np.exp(1j * k[0] * dp.dx[0])
 
     S = float(np.sum(np.abs(psi) ** 2 * dp.dx))
     if S <= 0.0:

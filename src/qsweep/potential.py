@@ -215,12 +215,8 @@ def expr_to_text(tree) -> str:
 class PotentialSpec:
     """A position -> energy map with a human-readable label."""
 
-    kind: str   # "builtin" | "expression" | "table"
     label: str
     evaluate: Callable[[float], float] = field(repr=False)
-
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
 
 
 def make_expression(pieces) -> PotentialSpec:
@@ -254,7 +250,7 @@ def make_expression(pieces) -> PotentialSpec:
     label = "; ".join(
         f"[{lo:g},{hi:g}): {expr_to_text(t)}" for lo, hi, t in parsed
     )
-    return PotentialSpec(kind="expression", label=label, evaluate=evaluate)
+    return PotentialSpec(label=label, evaluate=evaluate)
 
 
 def _take_params(name, params, required, optional=None):
@@ -378,7 +374,7 @@ def make_builtin(name: str, params: dict) -> PotentialSpec:
     else:
         raise ValueError(f"unknown builtin potential {name!r}")
 
-    return PotentialSpec(kind="builtin", label=label, evaluate=evaluate)
+    return PotentialSpec(label=label, evaluate=evaluate)
 
 
 # Representative resonant structure used by the docs, example configs, and
@@ -408,7 +404,7 @@ def load_table(rows) -> PotentialSpec:
         return us[i]
 
     label = f"table({len(rows)} rows, x in [{xs[0]:g}, {xs[-1]:g}])"
-    return PotentialSpec(kind="table", label=label, evaluate=evaluate)
+    return PotentialSpec(label=label, evaluate=evaluate)
 
 
 def read_table(path) -> PotentialSpec:
@@ -428,14 +424,6 @@ def read_table(path) -> PotentialSpec:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: not numeric: {body!r}") from None
     return load_table(rows)
-
-
-def format_table(x, u) -> str:
-    """Render sampled (x, U) columns in the table file format."""
-    lines = ["# x_nm  U_eV"]
-    for xi, ui in zip(x, u):
-        lines.append(f"{float(xi)!r} {float(ui)!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

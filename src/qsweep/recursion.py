@@ -76,10 +76,12 @@ class RightSweep:
 
 
 def _scalar_grid(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
-    """Wavevectors and step widths as lists, where a scalar sweep starts."""
+    """Wavevectors as an array and as a list, and step widths as a list,
+    where a scalar sweep starts."""
     if not math.isfinite(E):
         raise nonfinite_energy(E)
-    return step_wavevectors(E, dp.u, ctx.phi).tolist(), dp.dx.tolist()
+    k = step_wavevectors(E, dp.u, ctx.phi)
+    return k, k.tolist(), dp.dx.tolist()
 
 
 def _left_coefficients(k, dx, E):
@@ -128,9 +130,9 @@ def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Left
     Computes R_j, T_j backward from the right boundary (R_{N+1} = 0), then
     the amplitudes forward: A_j = A_{j-1} T_j with A_0 = 1, B_j = A_j R_{j+1}.
     """
-    k, dx = _scalar_grid(dp, E, ctx)
-    R, T, A, B = _left_solution(k, dx, E)
-    return LeftSweep(E=E, k=np.array(k), R=np.array(R), T=np.array(T),
+    k, kl, dx = _scalar_grid(dp, E, ctx)
+    R, T, A, B = _left_solution(kl, dx, E)
+    return LeftSweep(E=E, k=k, R=np.array(R), T=np.array(T),
                      A=np.array(A), B=np.array(B))
 
 
@@ -142,23 +144,25 @@ def right_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Rig
     (Rbar_0 = 0), the amplitudes backward: D_j = D_{j+1} Tbar_j with
     D_{N+1} = 1, C_j = D_j Rbar_{j-1}.
     """
-    k, dx = _scalar_grid(dp, E, ctx)
-    R, T, A, B = _mirrored(_left_solution, k, dx, E)
-    return RightSweep(E=E, k=np.array(k), Rbar=np.array(R[:0:-1]),
+    k, kl, dx = _scalar_grid(dp, E, ctx)
+    R, T, A, B = _mirrored(_left_solution, kl, dx, E)
+    return RightSweep(E=E, k=k, Rbar=np.array(R[:0:-1]),
                       Tbar=np.array([0j] + T[:0:-1]), C=np.array([0j] + B[::-1]),
                       D=np.array([0j] + A[::-1]))
 
 
 def reflection_coefficients(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
-    """Both directions' reflection coefficients without amplitude arrays.
+    """Both directions' step coefficients without amplitude arrays.
 
-    Returns (k, R, Rbar) as numpy arrays; this is the cheap pass the
-    bound-state mismatch functional needs, skipping A/B/C/D entirely.
+    Returns (k, R, T, Rbar, Tbar) as numpy arrays indexed as in LeftSweep
+    and RightSweep; this is the cheap pass the bound-state mismatch
+    functional and the eigenfunction need, skipping A/B/C/D entirely.
     """
-    k, dx = _scalar_grid(dp, E, ctx)
-    R, _ = _left_coefficients(k, dx, E)
-    Rm, _ = _mirrored(_left_coefficients, k, dx, E)
-    return np.array(k), np.array(R), np.array(Rm[:0:-1])
+    k, kl, dx = _scalar_grid(dp, E, ctx)
+    R, T = (np.array(v, dtype=complex) for v in _left_coefficients(kl, dx, E))
+    Rm, Tm = _mirrored(_left_coefficients, kl, dx, E)
+    return (k, R, T, np.array(Rm[:0:-1], dtype=complex),
+            np.array([0j] + Tm[:0:-1], dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from .potential import DiscretizedPotential
 from .recursion import (
     LeftSweep,
     finite_prefix,
-    left_sweep,
     nonfinite_energy,
     raise_singular,
     transmission_sweep,
@@ -63,7 +62,7 @@ def _probabilities(E, t_amp, r_amp, k0, kN, singular):
     return T, R
 
 
-def transmission(sweep: LeftSweep, dp: DiscretizedPotential) -> tuple[float, float]:
+def transmission(sweep: LeftSweep) -> tuple[float, float]:
     """Transmission and reflection probabilities from a left sweep."""
     a0 = sweep.A[0]
     T, R = _probabilities(np.array([sweep.E]), sweep.A[-1:] / a0, sweep.B[:1] / a0,
@@ -116,9 +115,3 @@ def sample_wavefunction(sweep: LeftSweep, dp: DiscretizedPotential, xs) -> WaveF
     """Evaluate the swept solution at arbitrary positions inside the grid."""
     xs, field = field_sampler(dp, xs)
     return WaveField(x=xs, psi=field(sweep), E=sweep.E)
-
-
-def wavefunction_at_nodes(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> WaveField:
-    """Left-incidence stationary field sampled at the grid nodes."""
-    sweep = left_sweep(dp, E, ctx)
-    return WaveField(x=dp.x.copy(), psi=sweep.A + sweep.B, E=E)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR, PLANCK_H, ParticleContext
+from .constants import C_LIGHT, HBAR, PLANCK_H, ParticleContext
 from .errors import InvalidDesignError
 from .potential import DiscretizedPotential
 from .recursion import LeftSweep, left_sweep
@@ -70,19 +70,21 @@ def design_packet(E0: float, *, sigma_x: float | None = None, dE: float | None =
     sum c_n^2 dkappa = 1 exactly.  The validity bound t_max is set by the
     widest adjacent-mode energy gap: h/(2*(E_last - E_prev)).
     """
-    if E0 <= 0.0:
-        raise ValueError(f"need E0 > 0, got {E0!r}")
+    if not 0.0 < E0 < math.inf:
+        raise ValueError(f"need a finite E0 > 0, got {E0!r}")
+    if not math.isfinite(x0):
+        raise ValueError(f"need a finite x0, got {x0!r}")
     if n_modes < 3:
         raise ValueError(f"need n_modes >= 3, got {n_modes!r}")
     if (sigma_x is None) == (dE is None):
         raise ValueError("give exactly one of sigma_x or dE")
     if sigma_x is not None:
-        if sigma_x <= 0.0:
-            raise ValueError(f"need sigma_x > 0, got {sigma_x!r}")
+        if not 0.0 < sigma_x < math.inf:
+            raise ValueError(f"need a finite sigma_x > 0, got {sigma_x!r}")
         sigma_k = 1.0 / sigma_x
     else:
-        if dE <= 0.0:
-            raise ValueError(f"need dE > 0, got {dE!r}")
+        if not 0.0 < dE < math.inf:
+            raise ValueError(f"need a finite dE > 0, got {dE!r}")
         sigma_k = ctx.phi * dE / (7.0 * math.sqrt(E0))
     sigma_x = 1.0 / sigma_k
 
@@ -110,7 +112,7 @@ def design_packet(E0: float, *, sigma_x: float | None = None, dE: float | None =
 
 def group_velocity(packet: WavePacket, ctx: ParticleContext) -> float:
     """Envelope speed hbar*kappa0/mass in nm/fs."""
-    return ctx.hbar * ctx.c**2 * packet.kappa0 / ctx.mass
+    return HBAR * C_LIGHT**2 * packet.kappa0 / ctx.mass
 
 
 def precompute_modes(dp: DiscretizedPotential, packet: WavePacket,

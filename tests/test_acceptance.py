@@ -18,13 +18,11 @@ from qsweep import (
     evolve,
     find_eigenvalues,
     fit_lifetime,
-    golden_section_minimize,
     left_sweep,
     make_builtin,
     make_expression,
     mismatch_curve,
     oracle,
-    phi_factor,
     precompute_modes,
     region_probability,
     right_sweep,
@@ -32,6 +30,8 @@ from qsweep import (
     transmission,
     transmission_curve,
 )
+from qsweep.constants import phi_factor
+from qsweep.eigen import golden_section_minimize
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -91,7 +91,7 @@ def resonance_run(electron):
     dp = discretize(spec, -5.0, 5.0, 500)
 
     def t_of(E: float) -> float:
-        return transmission(left_sweep(dp, E, electron), dp)[0]
+        return transmission(left_sweep(dp, E, electron))[0]
 
     e_res, neg_t, _ = golden_section_minimize(lambda E: -t_of(E), 0.06, 0.075, 1e-9)
     return dp, t_of, e_res, -neg_t
@@ -159,7 +159,7 @@ def test_criterion_5_oracle_equivalence(electron, finite_well_run, harmonic_run)
     dp = discretize(spec, -2.0, 2.0, 400)  # dx = 0.01 <= lambda/40 up to 2 eV
     worst_t = 0.0
     for E in np.linspace(0.05, 2.0, 50):
-        t, _ = transmission(left_sweep(dp, float(E), electron), dp)
+        t, _ = transmission(left_sweep(dp, float(E), electron))
         worst_t = max(worst_t, abs(t - oracle.analytic_square_barrier_T(
             float(E), 0.5, 1.0, electron)))
     ok = worst_t <= 1e-6
@@ -215,7 +215,7 @@ def test_criterion_7_conservation_suite(electron):
         E = float(rng.uniform(0.05, 2.0))
         ls = left_sweep(dp, E, electron)
         rs = right_sweep(dp, E, electron)
-        t, r = transmission(ls, dp)
+        t, r = transmission(ls)
         worst_sum = max(worst_sum, abs(t + r - 1.0))
         t_prod = transmission_curve(dp, [E], electron).T[0]
         worst_form = max(worst_form, abs(t_prod - t) / max(t, 1e-300))

@@ -21,7 +21,6 @@ from qsweep import (
     precompute_modes,
     right_sweep,
     transmission_curve,
-    wavefunction_at_nodes,
 )
 from qsweep import recursion
 from qsweep.constants import step_wavevectors
@@ -265,8 +264,6 @@ class TestNonFiniteEnergies:
             left_sweep(dp, math.nan, electron)
         with pytest.raises(InvalidEnergyError, match="inf"):
             right_sweep(dp, math.inf, electron)
-        with pytest.raises(InvalidEnergyError, match="nan"):
-            wavefunction_at_nodes(dp, math.nan, electron)
 
     def test_packet_modes(self, dp, electron):
         packet = design_packet(0.3, dE=0.05, n_modes=5, x0=-1.0, ctx=electron)

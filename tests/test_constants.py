@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsweep import HBAR_C, ParticleContext, phi_factor, wavevector
+from qsweep import HBAR_C, ParticleContext
+from qsweep.constants import DEGENERACY_NUDGE_EV, phi_factor, step_wavevectors
 
 
 def test_phi_electron():
@@ -17,25 +19,26 @@ def test_phi_molecular_mass():
 
 
 def test_phi_rejects_nonpositive_mass():
-    with pytest.raises(ValueError):
-        phi_factor(0.0)
-    with pytest.raises(ValueError):
-        phi_factor(-1.0)
+    for mass in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            phi_factor(mass)
 
 
 def test_wavevector_propagating():
-    k = wavevector(0.406, 0.0, 5.1232)
+    k = step_wavevectors(0.406, 0.0, 5.1232)
     assert k.real == pytest.approx(3.264, abs=1e-3)
     assert k.imag == 0.0
 
 
-def test_wavevector_degenerate_is_zero():
-    assert wavevector(0.45, 0.45, 5.1232) == 0.0
+def test_wavevector_degenerate_is_nudged():
+    # |E - U| below the nudge is treated as E - U = DEGENERACY_NUDGE_EV
+    k = step_wavevectors(0.45, np.array([0.45, 0.45 + 0.5e-12, 0.45 - 0.5e-12]), 5.1232)
+    assert np.all(k == 5.1232 * math.sqrt(DEGENERACY_NUDGE_EV))
 
 
 def test_wavevector_evanescent():
     # phi * sqrt(0.25) on the imaginary axis
-    k = wavevector(0.2, 0.45, 5.1232)
+    k = step_wavevectors(0.2, 0.45, 5.1232)
     assert k.real == 0.0
     assert k.imag == pytest.approx(2.5616, abs=1e-12)
 
@@ -47,7 +50,8 @@ def test_wavevector_evanescent():
     phi=st.floats(1e-3, 1e3),
 )
 def test_wavevector_square_identity_and_branch(E, U, phi):
-    k = wavevector(E, U, phi)
+    assume(abs(E - U) >= DEGENERACY_NUDGE_EV)
+    k = complex(step_wavevectors(E, U, phi))
     assert k.imag >= 0.0
     expect = phi**2 * (E - U)
     scale = max(abs(expect), 1e-30)
@@ -61,10 +65,12 @@ def test_phi_monotone_in_mass():
     assert values == sorted(values)
 
 
-def test_context_checks_phi_consistency():
+def test_context_derives_phi_from_mass():
     ctx = ParticleContext.for_mass(511000.0)
+    assert ctx == ParticleContext(511000.0)
     assert ctx.phi == math.sqrt(2 * 511000.0) / HBAR_C
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ParticleContext(mass=511000.0, phi=5.0)
-    with pytest.raises(ValueError):
-        ParticleContext(mass=-1.0, phi=1.0)
+    for mass in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ParticleContext(mass=mass)

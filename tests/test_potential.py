@@ -7,15 +7,12 @@ from qsweep import (
     ExpressionError,
     PotentialEvalError,
     discretize,
-    eval_expr,
-    expr_to_text,
-    format_table,
     load_table,
     make_builtin,
     make_expression,
-    parse_potential_expr,
     read_table,
 )
+from qsweep.potential import eval_expr, expr_to_text, parse_potential_expr
 
 
 class TestParser:
@@ -86,11 +83,11 @@ class TestBuiltins:
         A, B = 0.124e-12, 1.488e-6
         spec = make_builtin("lennard_jones", {"A": A, "B": B, "J": 0})
         x_star = (2 * A / B) ** (1.0 / 6.0)
-        assert spec(x_star) == pytest.approx(-(B**2) / (4 * A), rel=1e-12)
-        assert spec(x_star) == pytest.approx(-4.464, abs=1e-3)
+        assert spec.evaluate(x_star) == pytest.approx(-(B**2) / (4 * A), rel=1e-12)
+        assert spec.evaluate(x_star) == pytest.approx(-4.464, abs=1e-3)
         # dense scan confirms this is the global minimum
         xs = np.linspace(0.03, 0.2, 5000)
-        assert min(spec(x) for x in xs) >= spec(x_star) - 1e-9
+        assert min(spec.evaluate(x) for x in xs) >= spec.evaluate(x_star) - 1e-9
 
     def test_lennard_jones_centrifugal_needs_mass(self):
         with pytest.raises(ValueError, match="mass"):
@@ -99,7 +96,7 @@ class TestBuiltins:
         spec8 = make_builtin(
             "lennard_jones", {"A": 0.124e-12, "B": 1.488e-6, "J": 8, "mass": 469.4e6}
         )
-        assert spec8(0.05) > spec0(0.05)
+        assert spec8.evaluate(0.05) > spec0.evaluate(0.05)
 
     def test_double_well_value_at_split(self):
         spec = make_builtin(
@@ -107,7 +104,7 @@ class TestBuiltins:
             {"A_left": 4.0e-3, "A_right": 2.4e-3, "B": 0.450, "C": -0.500,
              "delta": 0.5, "alpha": 10.0},
         )
-        assert spec(0.0) == pytest.approx(-0.5 + 0.45 * math.exp(-0.0025), rel=1e-14)
+        assert spec.evaluate(0.0) == pytest.approx(-0.5 + 0.45 * math.exp(-0.0025), rel=1e-14)
 
     def test_double_well_two_sided_curvature(self):
         spec = make_builtin(
@@ -115,29 +112,29 @@ class TestBuiltins:
             {"A_left": 4.0e-3, "A_right": 2.4e-3, "B": 0.0, "C": 0.0,
              "delta": 0.5, "alpha": 10.0},
         )
-        assert spec(-10.0) == pytest.approx(0.4)
-        assert spec(10.0) == pytest.approx(0.24)
+        assert spec.evaluate(-10.0) == pytest.approx(0.4)
+        assert spec.evaluate(10.0) == pytest.approx(0.24)
 
     def test_coulomb_at_origin(self):
         spec = make_builtin("coulomb_trunc", {"e2": 1.44, "eps": 0.01})
-        assert spec(0.0) == pytest.approx(-144.0)
-        assert spec(1.0) == spec(-1.0)
+        assert spec.evaluate(0.0) == pytest.approx(-144.0)
+        assert spec.evaluate(1.0) == spec.evaluate(-1.0)
 
     def test_square_barrier_half_open(self):
         spec = make_builtin("square_barrier", {"V0": 0.7, "center": 0.0, "width": 1.0})
-        assert spec(-0.5) == 0.7
-        assert spec(0.5) == 0.0
+        assert spec.evaluate(-0.5) == 0.7
+        assert spec.evaluate(0.5) == 0.0
 
     def test_double_barrier_vwell_geometry(self):
         spec = make_builtin(
             "double_barrier_vwell",
             {"heights": (0.5, 0.6), "widths": (0.4, 2.0), "depth": 0.25},
         )
-        assert spec(0.0) == pytest.approx(-0.25)
-        assert spec(0.5) == pytest.approx(-0.125)
-        assert spec(-1.2) == 0.5
-        assert spec(1.2) == 0.6
-        assert spec(3.0) == 0.0
+        assert spec.evaluate(0.0) == pytest.approx(-0.25)
+        assert spec.evaluate(0.5) == pytest.approx(-0.125)
+        assert spec.evaluate(-1.2) == 0.5
+        assert spec.evaluate(1.2) == 0.6
+        assert spec.evaluate(3.0) == 0.0
 
     def test_unknown_name_and_params(self):
         with pytest.raises(ValueError, match="unknown builtin"):
@@ -191,7 +188,7 @@ class TestDiscretize:
             dp = discretize(spec, -5, 5, N)
             half = dp.dx[0] / 2
             errs.append(
-                max(abs(dp.u[j] - spec(dp.x[j] + half)) for j in range(N))
+                max(abs(dp.u[j] - spec.evaluate(dp.x[j] + half)) for j in range(N))
             )
         assert errs[1] < 0.6 * errs[0]
         assert errs[2] < 0.6 * errs[1]
@@ -204,24 +201,24 @@ class TestExpressionPieces:
 
     def test_piece_dispatch(self):
         spec = make_expression([(-math.inf, 0.0, "4e-3*x^2"), (0.0, math.inf, "2.4e-3*x^2")])
-        assert spec(-2.0) == pytest.approx(0.016)
-        assert spec(2.0) == pytest.approx(0.0096)
+        assert spec.evaluate(-2.0) == pytest.approx(0.016)
+        assert spec.evaluate(2.0) == pytest.approx(0.0096)
 
     def test_gap_fails_on_eval(self):
         spec = make_expression([(0.0, 1.0, "1")])
         with pytest.raises(PotentialEvalError):
-            spec(2.0)
+            spec.evaluate(2.0)
 
 
 class TestTable:
     def test_zero_order_hold(self):
         spec = load_table([(0.0, 1.0), (1.0, 2.0)])
-        assert spec(0.5) == 1.0
+        assert spec.evaluate(0.5) == 1.0
 
     def test_clamps_to_end_values(self):
         spec = load_table([(0.0, 1.0), (1.0, 2.0)])
-        assert spec(1.7) == 2.0
-        assert spec(-0.3) == 1.0
+        assert spec.evaluate(1.7) == 2.0
+        assert spec.evaluate(-0.3) == 1.0
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -235,7 +232,8 @@ class TestTable:
         spec = make_builtin("square_barrier", {"V0": 0.5, "center": 0.0, "width": 1.0})
         dp = discretize(spec, -2, 2, 100)
         path = tmp_path / "table.txt"
-        path.write_text(format_table(dp.x, dp.u))
+        rows = "".join(f"{x!r} {u!r}\n" for x, u in zip(dp.x.tolist(), dp.u.tolist()))
+        path.write_text("# x_nm  U_eV\n" + rows)
         reloaded = read_table(path)
         dp2 = discretize(reloaded, -2, 2, 100)
         assert np.array_equal(dp.u, dp2.u)
@@ -244,7 +242,7 @@ class TestTable:
         path = tmp_path / "t.txt"
         path.write_text("# header\n\n0.0 1.0  # inline\n1.0 2.0\n")
         spec = read_table(path)
-        assert spec(0.2) == 1.0
+        assert spec.evaluate(0.2) == 1.0
 
     def test_read_table_rejects_bad_lines(self, tmp_path):
         path = tmp_path / "t.txt"

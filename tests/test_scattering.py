@@ -24,12 +24,12 @@ def barrier(electron):
 class TestTransmission:
     def test_free_particle(self, electron):
         dp = discretize(make_expression("0"), -5, 5, 100)
-        t, r = transmission(left_sweep(dp, 0.5, electron), dp)
+        t, r = transmission(left_sweep(dp, 0.5, electron))
         assert t == pytest.approx(1.0, abs=1e-12)
         assert r == pytest.approx(0.0, abs=1e-12)
 
     def test_square_barrier_vs_oracle(self, barrier, electron):
-        t, r = transmission(left_sweep(barrier, 0.25, electron), barrier)
+        t, r = transmission(left_sweep(barrier, 0.25, electron))
         assert t == pytest.approx(
             oracle.analytic_square_barrier_T(0.25, 0.5, 1.0, electron), abs=1e-6
         )
@@ -38,17 +38,17 @@ class TestTransmission:
     def test_semiclassical_transparency(self, electron):
         spec = make_builtin("square_barrier", {"V0": 0.3, "center": 0.0, "width": 1.0})
         dp = discretize(spec, -2, 2, 400)
-        t, _ = transmission(left_sweep(dp, 3.0, electron), dp)
+        t, _ = transmission(left_sweep(dp, 3.0, electron))
         assert t >= 0.9
 
     def test_evanescent_incidence_rejected(self, electron):
         dp = discretize(load_table([(-1.0, 0.5), (0.0, 0.0), (1.0, 0.0)]), -1, 1, 100)
         with pytest.raises(InvalidEnergyError):
-            transmission(left_sweep(dp, 0.2, electron), dp)
+            transmission(left_sweep(dp, 0.2, electron))
 
     def test_evanescent_exit_reports_zero(self, electron):
         dp = discretize(load_table([(-1.0, 0.0), (0.0, 0.5), (1.0, 0.5)]), -1, 1, 100)
-        t, r = transmission(left_sweep(dp, 0.2, electron), dp)
+        t, r = transmission(left_sweep(dp, 0.2, electron))
         assert t == 0.0
         assert r == pytest.approx(1.0, abs=1e-9)
 
@@ -56,7 +56,7 @@ class TestTransmission:
         # downhill step: T uses the k_N/k_0 current ratio and conserves flux
         dp = discretize(load_table([(-1.0, 0.0), (0.0, -0.4), (1.0, -0.4)]), -1, 1, 100)
         E = 0.3
-        t, r = transmission(left_sweep(dp, E, electron), dp)
+        t, r = transmission(left_sweep(dp, E, electron))
         r2, tc = oracle.analytic_step_RT(E, 0.0, -0.4, electron)
         assert r == pytest.approx(r2, rel=1e-10)
         assert t == pytest.approx(tc, rel=1e-10)
@@ -74,7 +74,7 @@ class TestTransmissionCurve:
         grid = np.linspace(0.05, 2.0, 30)
         curve = transmission_curve(barrier, grid, electron)
         for E, t in zip(grid, curve.T):
-            t_amp, _ = transmission(left_sweep(barrier, float(E), electron), barrier)
+            t_amp, _ = transmission(left_sweep(barrier, float(E), electron))
             assert t == pytest.approx(t_amp, rel=1e-12)
 
     def test_t_plus_r_identity(self, barrier, electron):
@@ -99,7 +99,7 @@ class TestTransmissionCurve:
         Ts = []
         for N in (250, 500, 1000):
             dp = discretize(spec, -5, 5, N)
-            t, _ = transmission(left_sweep(dp, E, electron), dp)
+            t, _ = transmission(left_sweep(dp, E, electron))
             Ts.append(t)
         d1, d2 = abs(Ts[1] - Ts[0]), abs(Ts[2] - Ts[1])
         assert d2 < d1 / 1.9  # at least first-order convergence in dx
@@ -134,13 +134,14 @@ class TestSampleWavefunction:
             sample_wavefunction(sw, barrier, [2.5])
 
     def test_resonant_intrawell_amplification(self, electron):
-        from qsweep import REFERENCE_DOUBLE_BARRIER, golden_section_minimize
+        from qsweep import REFERENCE_DOUBLE_BARRIER
+        from qsweep.eigen import golden_section_minimize
 
         spec = make_builtin("double_barrier_vwell", REFERENCE_DOUBLE_BARRIER)
         dp = discretize(spec, -5, 5, 500)
 
         def neg_t(E):
-            return -transmission(left_sweep(dp, E, electron), dp)[0]
+            return -transmission(left_sweep(dp, E, electron))[0]
 
         e_res, _, _ = golden_section_minimize(neg_t, 0.06, 0.075, 1e-9)
         sw = left_sweep(dp, e_res, electron)

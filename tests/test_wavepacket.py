@@ -5,6 +5,7 @@ import pytest
 
 import qsweep.wavepacket as wp
 from qsweep import (
+    C_LIGHT,
     HBAR,
     design_packet,
     discretize,
@@ -72,6 +73,15 @@ class TestDesign:
             design_packet(0.5, n_modes=11, x0=0.0, ctx=electron)
         with pytest.raises(ValueError):
             design_packet(0.5, sigma_x=1.0, n_modes=2, x0=0.0, ctx=electron)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="E0"):
+                design_packet(bad, dE=0.05, n_modes=11, x0=0.0, ctx=electron)
+            with pytest.raises(ValueError, match="dE"):
+                design_packet(0.5, dE=bad, n_modes=11, x0=0.0, ctx=electron)
+            with pytest.raises(ValueError, match="sigma_x"):
+                design_packet(0.5, sigma_x=bad, n_modes=11, x0=0.0, ctx=electron)
+            with pytest.raises(ValueError, match="x0"):
+                design_packet(0.5, dE=0.05, n_modes=11, x0=bad, ctx=electron)
 
     def test_energy_centroid_matches_continuous_envelope(self, electron):
         pk = design_packet(0.406, dE=0.058, n_modes=101, x0=0.0, ctx=electron)
@@ -174,7 +184,7 @@ class TestEvolve:
         w0 = width(0.0)
         for t in (25.0, 50.0):
             grow = math.sqrt(
-                1.0 + (HBAR * electron.c**2 * t / (electron.mass * pk.sigma_x**2)) ** 2
+                1.0 + (HBAR * C_LIGHT**2 * t / (electron.mass * pk.sigma_x**2)) ** 2
             )
             assert width(t) / w0 == pytest.approx(grow, rel=0.02)
 
