@@ -50,7 +50,10 @@ def step_wavevectors(E, u, phi: float) -> np.ndarray:
     """
     k = np.zeros(np.broadcast_shapes(np.shape(E), np.shape(u)), dtype=complex)
     root = k.real  # holds E - u until it becomes phi*sqrt|E - u|
-    np.subtract(E, u, out=root)
+    # E - u past the float range is an infinite wavevector; the recursion
+    # then meets a NaN denominator and reports it as singular.
+    with np.errstate(over="ignore"):
+        np.subtract(E, u, out=root)
     root[np.abs(root) < DEGENERACY_NUDGE_EV] = DEGENERACY_NUDGE_EV
     forbidden = root < 0.0
     np.abs(root, out=root)

@@ -21,13 +21,7 @@ import numpy as np
 from .constants import ParticleContext
 from .errors import InvalidEigenvalueError
 from .potential import DiscretizedPotential
-from .recursion import (
-    finite_prefix,
-    mismatch_sweep,
-    nonfinite_energy,
-    raise_singular,
-    reflection_coefficients,
-)
+from .recursion import mismatch_sweep, nonfinite_energy, reflection_coefficients
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -101,21 +95,21 @@ def mismatch_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext,
                    interval=None) -> MismatchCurve:
     """`mismatch` over an energy grid, in two energy-batched passes.
 
-    Energies with no allowed step are inf and are not swept.  Errors name
-    the first failing energy in grid order, as a loop over the energies
-    would: a non-finite energy or a singular recursion denominator.
+    Energies with no allowed step are inf and are not swept.  Energies the
+    passes cannot serve (non-finite or a singular denominator) are rerun in
+    grid order by `mismatch`, so the curve raises what a loop over the
+    energies would.
     """
     inside = _interval_nodes(dp, interval)
     E = np.asarray(Egrid, dtype=float)
-    n = finite_prefix(E)
-    f = np.full(n, math.inf)
-    swept = E[:n] > dp.u[inside].min(initial=math.inf)
+    f = np.full(len(E), math.inf)
+    flagged = ~np.isfinite(E)
+    swept = E > dp.u[inside].min(initial=math.inf)
     if swept.any():
-        Es = E[:n][swept]
-        f[swept], fail = mismatch_sweep(dp, Es, ctx, inside)
-        raise_singular(Es, fail)
-    if n < len(E):
-        raise nonfinite_energy(E[n])
+        f[swept], failed = mismatch_sweep(dp, E[swept], ctx, inside)
+        flagged[swept] |= failed
+    for m in np.flatnonzero(flagged):
+        f[m] = mismatch(dp, float(E[m]), ctx, interval)
     return MismatchCurve(E=E, f=f, interval=tuple(interval) if interval else None)
 
 
@@ -128,6 +122,8 @@ def golden_section_minimize(fn, a: float, b: float, tol: float):
     """
     if not a < b:
         raise ValueError(f"need a < b, got {a!r} >= {b!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc = fn(c)

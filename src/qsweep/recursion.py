@@ -29,6 +29,12 @@ use the energy-batched sweeps at the end of this module: the recursion is
 sequential in the step but independent across energies, so they carry (M,)
 vectors, one entry per energy, through the step loop.  Single-energy
 callers keep the scalar loop, which is faster for one energy.
+
+A denominator below _SINGULARITY_FLOOR in magnitude, or NaN, is singular.
+The scalar loop raises NumericalSingularityError naming the energy and the
+grid step.  The batched sweeps only flag the energies that met one; the
+curves rerun those through the single-energy functions, so every error a
+curve raises is the one a loop over its energies would raise.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ def _left_coefficients(k, dx, E):
         kb = k[j]
         rnext = R[j + 1]
         den = (ka - kb) * rnext + (ka + kb)
-        if abs(den) < _SINGULARITY_FLOOR:
+        if not abs(den) >= _SINGULARITY_FLOOR:  # NaN included
             raise NumericalSingularityError(E, j)
         ph = exp(1j * (ka * dx[j - 1]))
         T[j] = (2.0 * ka / den) * ph
@@ -185,7 +191,7 @@ def _block_rows(n_nodes: int) -> int:
     return math.isqrt(n_nodes - 1) + 1
 
 
-def _steps(k, jdx, r, steps, fail, out=None, t=None):
+def _steps(k, jdx, r, failed, out=None, t=None):
     """Carry the left recursion through the steps of one block.
 
     Rows of k are consecutive nodes and jdx holds i dx of the same nodes.
@@ -193,13 +199,13 @@ def _steps(k, jdx, r, steps, fail, out=None, t=None):
     kb = k[p+1]; steps run from the last row to the first, starting from
     r, the coefficient to the right of the block.  Rows passed in reverse
     order run the right recursion instead: Rbar is the left recursion on
-    the mirrored grid.  steps[p] is the number the single-energy sweep
-    gives step p, recorded in fail on a singular denominator (skipped when
-    fail is None).  R after step p goes to out[p] when out is given; t,
-    when given, is multiplied in place by every T_j.  Returns R at the
-    first row.
+    the mirrored grid.  failed, a bool (M,) array, is set at the energies
+    where a step's denominator was singular (skipped when failed is None);
+    which step it was is left to the single-energy sweep.  R after step p
+    goes to out[p] when out is given; t, when given, is multiplied in
+    place by every T_j.  Returns R at the first row.
     """
-    tiny = None if fail is None else np.empty((len(k) - 1, k.shape[1]), dtype=bool)
+    ok = None if failed is None else np.empty((len(k) - 1, k.shape[1]), dtype=bool)
     for p in range(len(k) - 2, -1, -1):
         ka = k[p]
         kb = k[p + 1]
@@ -209,8 +215,8 @@ def _steps(k, jdx, r, steps, fail, out=None, t=None):
         dif = ka - kb
         den = dif * r
         den += sm
-        if tiny is not None:
-            np.less(np.abs(den), _SINGULARITY_FLOOR, out=tiny[p])
+        if ok is not None:
+            np.greater_equal(np.abs(den), _SINGULARITY_FLOOR, out=ok[p])  # False for NaN
         r = np.multiply(sm, r, out=None if out is None else out[p])
         r += dif
         r /= den
@@ -221,71 +227,58 @@ def _steps(k, jdx, r, steps, fail, out=None, t=None):
             tj /= den
             t *= tj
             t *= ph
-    if tiny is not None and tiny.any():
-        last = len(tiny) - 1 - np.argmax(tiny[::-1], axis=0)  # first in sweep order
-        hit = tiny.any(axis=0) & (fail == 0)
-        fail[hit] = np.asarray(steps)[last[hit]]
+    if ok is not None:
+        failed |= ~ok.all(axis=0)
     return r
-
-
-def raise_singular(E, fail):
-    """Raise for the first energy in grid order whose sweep met a singular
-    denominator; fail[m] > 0 is the step the scalar sweep reports."""
-    if fail.any():
-        m = int(np.argmax(fail > 0))
-        raise NumericalSingularityError(float(E[m]), int(fail[m]))
-
-
-def finite_prefix(E: np.ndarray) -> int:
-    """Number of leading finite energies of a grid."""
-    bad = ~np.isfinite(E)
-    return int(np.argmax(bad)) if bad.any() else len(E)
 
 
 def nonfinite_energy(E) -> InvalidEnergyError:
     return InvalidEnergyError(f"energy must be finite, got E={float(E)!r} eV")
 
 
-# A singular denominator turns the rest of that energy's sweep into inf and
-# nan; the sweeps record it in fail, so numpy need not warn as well.
+# A singular denominator or a non-finite energy turns the rest of that
+# energy's sweep into inf and nan; the sweeps flag it in `failed` or the
+# caller flags the energy, so numpy need not warn as well.
 @np.errstate(divide="ignore", invalid="ignore")
 def transmission_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext):
     """Endpoint amplitudes t_amp = A_N/A_0 = prod_j T_j and r_amp = B_0/A_0
-    for an array of finite energies at once.
+    for an array of energies at once.
 
     One streaming backward pass carries t_amp and r as (M,) vectors, so no
     per-step array is stored.
-    Returns (t_amp, r_amp, k_left, k_right, fail), each of shape (M,);
-    fail[m] is the step whose denominator was singular at E[m], or 0.
+    Returns (t_amp, r_amp, k_left, k_right, failed), each of shape (M,);
+    failed[m] says a denominator was singular at E[m].
     """
     N = dp.n_steps
     B = max(1, min(_block_rows(N + 1), _BLOCK_VALUES // max(len(E), 1)))
     jdx = 1j * dp.dx
     r = np.zeros(len(E), dtype=complex)
     t = np.ones(len(E), dtype=complex)
-    fail = np.zeros(len(E), dtype=int)
+    failed = np.zeros(len(E), dtype=bool)
     for hi in range(N, 0, -B):
         lo = max(hi - B, 0)
         r = _steps(step_wavevectors(E, dp.u[lo:hi + 1, None], ctx.phi), jdx[lo:hi + 1],
-                   r, range(lo + 1, hi + 1), fail, t=t)
+                   r, failed, t=t)
     k0, kN = step_wavevectors(E, dp.u[[0, -1], None], ctx.phi)
-    return t, r, k0, kN, fail
+    return t, r, k0, kN, failed
 
 
-def _segment_mismatch(k, jdx, a_row, r_top, rbar, allowed, steps, fail):
+def _segment_mismatch(k, jdx, a_row, r_top, rbar, allowed, failed):
     """Sum of |Rbar_j R_{j+1} - e^{2ik_j dx_j}| over one segment's nodes.
 
     k and jdx hold the segment's rows, from a_row on, plus at most one row
     below it (a_row = 1) that joins it to the segment below.  r_top is
     R_{j+1} at the segment's top node, rbar is Rbar at the node below the
     segment (ignored when there is none) and `allowed` masks the terms
-    that count.  Returns (the sum, Rbar at the top node).
+    that count.  The right recursion sets `failed` as in _steps; the left
+    one is a recomputation the backward pass has checked already.  Returns
+    (the sum, Rbar at the top node).
     """
     terms = np.empty((len(k) - a_row, k.shape[1]), dtype=complex)  # R_{j+1} for now
     terms[-1] = r_top
-    _steps(k[a_row:], jdx[a_row:], r_top, None, None, out=terms[:-1])
+    _steps(k[a_row:], jdx[a_row:], r_top, None, out=terms[:-1])
     Rbar = np.zeros_like(terms)
-    rbar = _steps(k[::-1], jdx[::-1], rbar, steps, fail, out=Rbar[1 - a_row:][::-1])
+    rbar = _steps(k[::-1], jdx[::-1], rbar, failed, out=Rbar[1 - a_row:][::-1])
     rbar = rbar.copy()  # a view would keep Rbar alive into the next segment
     terms *= Rbar
     del Rbar  # free before e2 is made
@@ -297,7 +290,7 @@ def _segment_mismatch(k, jdx, a_row, r_top, rbar, allowed, steps, fail):
 @np.errstate(divide="ignore", invalid="ignore")
 def mismatch_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext,
                    inside: np.ndarray):
-    """f(E) for an array of finite energies at once, summed over the nodes
+    """f(E) for an array of energies at once, summed over the nodes
     where `inside` holds and U < E.
 
     Each term |Rbar_j R_{j+1} - e^{2ik_j dx_j}| needs the left recursion,
@@ -306,15 +299,15 @@ def mismatch_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext
     of B = ceil(sqrt(N+1)) nodes; the forward pass then walks the segments
     upward, recomputes each one's R from its checkpoint and adds its terms
     (Griewank & Walther, ACM TOMS 26, 2000).  Memory is a few times
-    sqrt(N) M complex values.  Returns (f, fail) with fail as in
-    transmission_sweep, the left recursion's step first.
+    sqrt(N) M complex values.  Returns (f, failed) with failed as in
+    transmission_sweep, set by either recursion.
     """
     N = dp.n_steps
     B = _block_rows(N + 1)
     M = len(E)
     jdx = 1j * dp.dx
     starts = range(0, N + 1, B)
-    fail = np.zeros(M, dtype=int)
+    failed = np.zeros(M, dtype=bool)
 
     # Segment s holds nodes a..b-1; its block starts one node lower, at lo,
     # for the step that joins it to the segment below.
@@ -325,8 +318,7 @@ def mismatch_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext
         b = min(a + B, N + 1)
         lo = max(a - 1, 0)
         checkpoints[s] = r  # R_b
-        r = _steps(step_wavevectors(E, dp.u[lo:b, None], ctx.phi), jdx[lo:b], r,
-                   range(lo + 1, b), fail)
+        r = _steps(step_wavevectors(E, dp.u[lo:b, None], ctx.phi), jdx[lo:b], r, failed)
 
     f = np.zeros(M)
     rbar = np.zeros(M, dtype=complex)
@@ -335,7 +327,6 @@ def mismatch_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext
         lo = max(a - 1, 0)
         fs, rbar = _segment_mismatch(step_wavevectors(E, dp.u[lo:b, None], ctx.phi),
                                      jdx[lo:b], a - lo, checkpoints[s], rbar,
-                                     (dp.u[a:b, None] < E) & inside[a:b, None],
-                                     range(b - 1, lo, -1), fail)
+                                     (dp.u[a:b, None] < E) & inside[a:b, None], failed)
         f += fs
-    return f, fail
+    return f, failed

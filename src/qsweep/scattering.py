@@ -9,13 +9,7 @@ import numpy as np
 from .constants import ParticleContext
 from .errors import InvalidEnergyError
 from .potential import DiscretizedPotential
-from .recursion import (
-    LeftSweep,
-    finite_prefix,
-    nonfinite_energy,
-    raise_singular,
-    transmission_sweep,
-)
+from .recursion import LeftSweep, left_sweep, transmission_sweep
 
 
 @dataclass(frozen=True)
@@ -39,50 +33,47 @@ class WaveField:
     E: float
 
 
-def _probabilities(E, t_amp, r_amp, k0, kN, singular):
+def _probabilities(t_amp, r_amp, k0, kN):
     """Transmission and reflection probabilities from endpoint amplitudes.
 
     R = |r_amp|^2 and T = (Re k_N / Re k_0)|t_amp|^2; the current ratio
     handles unequal asymptotic potentials and reduces to the plain
     amplitude ratio when U(x_0) = U(x_N).  If the far side is evanescent
-    (Re k_N = 0) there is no transmitted current and T = 0.  Evanescent
-    incidence is an error.  Errors name the first failing energy in grid
-    order; at one energy a singular sweep (`singular`, as returned by
-    transmission_sweep) comes first, as in the single-energy path.
+    (Re k_N = 0) there is no transmitted current and T = 0.
     """
-    failed = (k0.real <= 0.0) | (singular > 0)
-    if failed.any():
-        m = int(np.argmax(failed))
-        raise_singular(E[m:m + 1], singular[m:m + 1])
-        raise InvalidEnergyError(
-            f"evanescent incidence at E={float(E[m])!r} eV (E below the entry potential)"
-        )
     R = np.abs(r_amp) ** 2
     T = np.where(kN.real > 0.0, (kN.real / k0.real) * np.abs(t_amp) ** 2, 0.0)
     return T, R
 
 
 def transmission(sweep: LeftSweep) -> tuple[float, float]:
-    """Transmission and reflection probabilities from a left sweep."""
+    """Transmission and reflection probabilities from a left sweep.
+
+    Evanescent incidence (E below the entry potential) is an error.
+    """
+    if not sweep.k[0].real > 0.0:
+        raise InvalidEnergyError(
+            f"evanescent incidence at E={sweep.E!r} eV (E below the entry potential)"
+        )
     a0 = sweep.A[0]
-    T, R = _probabilities(np.array([sweep.E]), sweep.A[-1:] / a0, sweep.B[:1] / a0,
-                          sweep.k[:1], sweep.k[-1:], np.zeros(1, dtype=int))
+    T, R = _probabilities(sweep.A[-1:] / a0, sweep.B[:1] / a0, sweep.k[:1], sweep.k[-1:])
     return float(T[0]), float(R[0])
 
 
 def transmission_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext) -> TransmissionCurve:
     """T(E) and R(E) over an energy grid, in one energy-batched streaming pass.
 
-    Errors name the first failing energy in grid order, as a loop over the
-    energies would: a non-finite energy, a singular recursion denominator
-    (the error also names the step) or evanescent incidence.
+    Energies the pass cannot serve (non-finite, evanescent incidence or a
+    singular denominator) are rerun in grid order by `transmission` of a
+    `left_sweep`, so the curve raises what a loop over the energies would.
     """
     E = np.asarray(Egrid, dtype=float)
-    n = finite_prefix(E)
-    t_amp, r_amp, k0, kN, fail = transmission_sweep(dp, E[:n], ctx)
-    T, R = _probabilities(E[:n], t_amp, r_amp, k0, kN, fail)
-    if n < len(E):
-        raise nonfinite_energy(E[n])
+    t_amp, r_amp, k0, kN, failed = transmission_sweep(dp, E, ctx)
+    for m in np.flatnonzero(failed | ~np.isfinite(E) | (k0.real <= 0.0)):
+        sweep = left_sweep(dp, float(E[m]), ctx)
+        transmission(sweep)  # raises where the loop would
+        t_amp[m], r_amp[m], k0[m], kN[m] = sweep.A[-1], sweep.B[0], sweep.k[0], sweep.k[-1]
+    T, R = _probabilities(t_amp, r_amp, k0, kN)
     return TransmissionCurve(E=E, T=T, R=R, t_amp=t_amp, r_amp=r_amp)
 
 

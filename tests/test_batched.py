@@ -15,16 +15,18 @@ from qsweep import (
     eigenfunction,
     evolve,
     left_sweep,
+    load_table,
     make_builtin,
     mismatch,
     mismatch_curve,
     precompute_modes,
     right_sweep,
+    transmission,
     transmission_curve,
 )
 from qsweep import recursion
 from qsweep.constants import step_wavevectors
-from qsweep.errors import InvalidEnergyError, NumericalSingularityError
+from qsweep.errors import InvalidEnergyError, NumericalSingularityError, SolverError
 
 # The batched recursion rounds differently from the scalar loop (numpy's
 # complex division is not Python's); near an eigenvalue f is a sum of
@@ -182,12 +184,13 @@ def marked_potential(node, barrier=()):
 
 
 def first_scalar_error(fn, grid):
+    """The error a loop over the grid stops at, or None."""
     for E in grid:
         try:
             fn(float(E))
-        except NumericalSingularityError as exc:
+        except SolverError as exc:
             return exc
-    raise AssertionError("the scalar path raised nothing")
+    return None
 
 
 @pytest.mark.parametrize("node, barrier, curves", [
@@ -233,6 +236,50 @@ def test_errors_follow_grid_order(electron, monkeypatch):
         transmission_curve(dp, [0.7, math.nan], electron)
     with pytest.raises(InvalidEnergyError, match="nan"):
         transmission_curve(dp, [math.nan, 0.7], electron)
+    with pytest.raises(NumericalSingularityError, match="0.7"):
+        mismatch_curve(dp, [0.7, math.nan], electron)
+    with pytest.raises(InvalidEnergyError, match="nan"):
+        mismatch_curve(dp, [math.nan, 0.7], electron)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_curve_errors_are_the_first_error_of_a_scalar_loop(data, electron):
+    N = data.draw(st.integers(1, 24))
+    u = data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, MARK, 0.4, -0.2]),
+                           min_size=N + 1, max_size=N + 1))
+    dp = table_potential(u, np.full(N, 0.1))
+    levels = [0.1, 0.3, 0.5, 0.7, 0.9]
+    grid = data.draw(st.lists(st.sampled_from(levels * 4 + [math.nan, math.inf, -math.inf]),
+                              min_size=1, max_size=8))
+    bad = sorted(data.draw(st.sets(st.sampled_from(levels))))
+    pairs = [(transmission_curve, lambda E: transmission(left_sweep(dp, E, electron))),
+             (mismatch_curve, lambda E: mismatch(dp, E, electron))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "step_wavevectors", cancelling_wavevectors(bad))
+        for curve, single in pairs:
+            expected = first_scalar_error(single, grid)
+            if expected is None:
+                curve(dp, grid, electron)
+                continue
+            with pytest.raises(SolverError) as err:
+                curve(dp, grid, electron)
+            assert type(err.value) is type(expected)
+            assert str(err.value) == str(expected)  # names the energy and any step
+
+
+def test_nan_denominator_is_singular(electron):
+    # E - U overflows to inf at the -1.7e308 nodes, and the first step that
+    # joins one of them to a finite wavevector has a NaN denominator.
+    dp = discretize(load_table([(-1, 0), (0, -1.7e308), (0.5, 0)]), -1, 1, 8)
+    E = 1e308
+    for fn in (lambda: transmission(left_sweep(dp, E, electron)),
+               lambda: transmission_curve(dp, [E], electron),
+               lambda: mismatch(dp, E, electron),
+               lambda: mismatch_curve(dp, [E], electron)):
+        with pytest.raises(NumericalSingularityError) as err:
+            fn()
+        assert (err.value.energy, err.value.step) == (E, 6)
 
 
 class TestNonFiniteEnergies:

@@ -157,6 +157,9 @@ class TestFindEigenvalues:
             find_eigenvalues(well, -0.1, -0.5, 100, electron)
         with pytest.raises(ValueError):
             find_eigenvalues(well, -0.5, -0.1, 2, electron)
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=tol)
 
 
 class TestEigenfunction:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -131,7 +132,7 @@ class TestReferenceLevels:
 def test_oracles_do_not_import_the_engine():
     import qsweep.oracle as module
 
-    source = open(module.__file__).read()
+    source = Path(module.__file__).read_text()
     for name in ("recursion", "scattering", "eigen"):
         assert f"from .{name}" not in source and f"import {name}" not in source
 
