@@ -8,11 +8,19 @@ every classically allowed step.  The mismatch functional
 
 is nonnegative and dips to zero exactly at the eigenvalues.  Restricting
 the sum to a sub-interval confines the search to one well of a multi-well
-potential.
+potential.  A scan of f(E) finds the dips; each is refined on the matching
+phase at one step h,
+
+    theta(E) = arg(Rbar_h R_{h+1} e^{-2ik_h dx_h}),
+
+which crosses zero at the level, by Illinois regula falsi (Dowell &
+Jarratt, BIT 11, 1971).  Golden-section search on f is the fallback for a
+dip where theta cannot bracket a level.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -75,6 +83,12 @@ def _allowed_mask(dp: DiscretizedPotential, E: float, interval) -> np.ndarray:
     return (dp.u < E) & _interval_nodes(dp, interval)
 
 
+def _match_step(dp: DiscretizedPotential, mask) -> int:
+    """The first node of minimum potential among the masked ones."""
+    nodes = np.flatnonzero(mask)
+    return int(nodes[np.argmin(dp.u[nodes])])
+
+
 def _mismatch_sum(k, R, Rbar, dp: DiscretizedPotential, mask) -> float:
     """sum over the masked steps of |Rbar_j R_{j+1} - e^{2ik_j dx_j}|."""
     terms = np.abs(Rbar * R[1:] - np.exp(2j * k * dp.dx))
@@ -113,23 +127,29 @@ def mismatch_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext,
     return MismatchCurve(E=E, f=f, interval=tuple(interval) if interval else None)
 
 
+def _check_tol(tol) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def golden_section_minimize(fn, a: float, b: float, tol: float):
     """Golden-section search for the minimum of a unimodal fn on [a, b].
 
     Derivative-free, so it handles the cusp-shaped dips of the mismatch
-    functional.  Returns (best_x, best_f, half_bracket) where half_bracket
-    is half the final bracket width.
+    functional.  Stops when the bracket is at most tol wide, or when
+    rounding no longer puts both interior points strictly inside it (a tol
+    below the float spacing).  Returns (best_x, best_f, half_bracket) where
+    half_bracket is half the final bracket width.
     """
     if not a < b:
         raise ValueError(f"need a < b, got {a!r} >= {b!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc = fn(c)
     fd = fn(d)
     best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
+    while b - a > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -145,26 +165,65 @@ def golden_section_minimize(fn, a: float, b: float, tol: float):
     return best_x, best_f, 0.5 * (b - a)
 
 
+def _phase_root(theta, a: float, b: float, tol: float):
+    """Illinois regula falsi for the zero of theta on [a, b].
+
+    Returns None unless theta changes sign over the bracket by less than
+    pi in all (a jump across the +-pi branch cut is no root).  A secant
+    point that rounds onto an end of the bracket is replaced by the
+    midpoint.  Stops when the bracket is at most tol wide, or when not even
+    the midpoint lies strictly inside it, and returns (x, half_bracket):
+    the end of the final bracket where |theta| is smaller, and half its
+    width.
+    """
+    ta, tb = theta(a), theta(b)
+    if not (ta * tb < 0.0 and abs(ta - tb) < math.pi):
+        return None
+    fa, fb = ta, tb  # the secant values; Illinois halves a stale one
+    side = 0
+    while b - a > tol:
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:  # the secant step rounded onto an end: bisect
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
+        tc = theta(c)
+        if (tc < 0.0) == (tb < 0.0):
+            b, tb, fb = c, tc, tc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, ta, fa = c, tc, tc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return (a if abs(ta) < abs(tb) else b), 0.5 * (b - a)
+
+
 def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: int,
                      ctx: ParticleContext, interval=None,
                      refine_tol: float | None = None) -> list[EigenvalueCandidate]:
     """Scan f(E) on a uniform grid, refine every dip, keep the deep ones.
 
     Strict local minima of the sampled curve are bracketed by their
-    neighbors and refined by golden-section search to `refine_tol`
-    (default: one hundredth of the scan step).  Both neighbors must be
-    finite: a minimum against the empty-allowed-set sentinel marks the
-    opening of the classically allowed region, where the functional is
-    discontinuous, not a bound state.  A refined dip is accepted when its
-    f value falls below ACCEPT_FRACTION_OF_MEDIAN times the median finite
-    f of the scan.  Near-coincident dips (closer than twice the refinement
-    tolerance) are merged unless a scan point between them rises at least
-    10x above both.
+    neighbors.  Both neighbors must be finite: a minimum against the
+    empty-allowed-set sentinel marks the opening of the classically allowed
+    region, where the functional is discontinuous, not a bound state.  Each
+    bracket is refined to `refine_tol` (default: one hundredth of the scan
+    step) on the matching phase theta(E) at the step h of minimum potential
+    inside the interval, the step `eigenfunction` matches at.  Where theta
+    does not change sign over the bracket, or f at its root is not deep
+    enough, golden-section search on f refines the bracket instead.  A
+    refined dip is accepted when its f value falls below
+    ACCEPT_FRACTION_OF_MEDIAN times the median finite f of the scan.
     """
     if not Emin < Emax:
         raise ValueError(f"need Emin < Emax, got {Emin!r} >= {Emax!r}")
     if N_E < 3:
         raise ValueError(f"need N_E >= 3, got {N_E!r}")
+    if refine_tol is not None:
+        _check_tol(refine_tol)
     grid = np.linspace(Emin, Emax, N_E)
     dE = grid[1] - grid[0]
     tol = refine_tol if refine_tol is not None else dE / 100.0
@@ -175,33 +234,31 @@ def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: in
     if finite.size == 0:
         return []
     threshold = ACCEPT_FRACTION_OF_MEDIAN * float(np.median(finite))
+    h = _match_step(dp, _interval_nodes(dp, interval))
 
+    def theta(E):
+        k, R, _, Rbar, _ = reflection_coefficients(dp, E, ctx)
+        return cmath.phase(Rbar[h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
+
+    # Successive strict minima have brackets that at most touch, so the
+    # levels come out in energy order.
     candidates = []
     for i in range(1, N_E - 1):
         if not (math.isfinite(f[i - 1]) and math.isfinite(f[i + 1])):
             continue
         if f[i] < f[i - 1] and f[i] < f[i + 1]:
-            e_best, f_best, half = golden_section_minimize(
-                lambda E: mismatch(dp, E, ctx, interval), grid[i - 1], grid[i + 1], tol
-            )
+            a, b = grid[i - 1], grid[i + 1]
+            root = _phase_root(theta, a, b, tol)
+            if root is not None:
+                e_best, half = root
+                f_best = mismatch(dp, e_best, ctx, interval)
+            if root is None or not f_best < threshold:
+                e_best, f_best, half = golden_section_minimize(
+                    lambda E: mismatch(dp, E, ctx, interval), a, b, tol
+                )
             if f_best < threshold:
                 candidates.append(EigenvalueCandidate(e_best, f_best, half))
-    candidates.sort(key=lambda c: c.energy)
-
-    # Merge refinements that collapsed onto (numerically) the same dip.
-    merged: list[EigenvalueCandidate] = []
-    for cand in candidates:
-        if merged and cand.energy - merged[-1].energy < 2.0 * tol:
-            prev = merged[-1]
-            between = f[(grid > prev.energy) & (grid < cand.energy)]
-            ceiling = 10.0 * max(prev.residual, cand.residual)
-            if between.size and between.max() >= ceiling:
-                merged.append(cand)  # genuine twin dips with a ridge between
-            elif cand.residual < prev.residual:
-                merged[-1] = cand
-            continue
-        merged.append(cand)
-    return merged
+    return candidates
 
 
 def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
@@ -221,8 +278,7 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
         raise InvalidEigenvalueError(
             f"no classically allowed grid point at E={energy!r} eV"
         )
-    allowed = np.flatnonzero(mask)
-    h = int(allowed[np.argmin(dp.u[allowed])])
+    h = _match_step(dp, mask)
 
     k, R, T, Rbar, Tbar = reflection_coefficients(dp, energy, ctx)
     residual = _mismatch_sum(k, R, Rbar, dp, mask)

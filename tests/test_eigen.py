@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 from conftest import count_interior_nodes, derivative_mismatch_at_match
 from qsweep import (
     DiscretizedPotential,
+    cli,
     discretize,
+    eigen,
     eigenfunction,
     find_eigenvalues,
     make_builtin,
@@ -20,6 +24,8 @@ from qsweep import (
 from qsweep.eigen import golden_section_minimize
 from qsweep.errors import InvalidEigenvalueError
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 @pytest.fixture(scope="module")
 def well(electron):
@@ -30,6 +36,38 @@ def well(electron):
 @pytest.fixture(scope="module")
 def well_states(well, electron):
     return find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-9)
+
+
+@pytest.fixture
+def golden_calls(monkeypatch):
+    """The results of every golden-section search find_eigenvalues runs."""
+    results = []
+
+    def recorded(*args):
+        results.append(golden_section_minimize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(eigen, "golden_section_minimize", recorded)
+    return results
+
+
+def config_levels(name):
+    """find_eigenvalues run as the eigen task of configs/<name>.json runs it."""
+    path = CONFIGS / f"{name}.json"
+    cfg = cli.parse_config(json.loads(path.read_text(encoding="utf-8")), path.parent)
+    task = cfg.task
+    dp = discretize(cfg.spec, cfg.x0, cfg.xN, cfg.N)
+    return find_eigenvalues(dp, task["Emin"], task["Emax"], task["N_E"], cfg.ctx,
+                            interval=task["interval"], refine_tol=task["refine_tol"])
+
+
+def binary_square_well(V0, cells):
+    """A well of depth V0 and half-width cells/64 nm, 1 nm of flat ground
+    on either side, on a 1/64 nm grid: every node is exact in binary, so
+    the well edges fall on nodes and the step table is the well itself."""
+    half_width = cells / 64.0
+    spec = make_builtin("square_barrier", {"V0": -V0, "center": 0.0, "width": 2.0 * half_width})
+    return discretize(spec, -half_width - 1.0, half_width + 1.0, 2 * cells + 128), half_width
 
 
 class TestMismatch:
@@ -81,6 +119,13 @@ class TestGoldenSection:
         with pytest.raises(ValueError):
             golden_section_minimize(lambda x: x, 1.0, 0.0, 1e-3)
 
+    def test_tolerance_below_float_spacing_returns(self):
+        # The bracket cannot shrink below the float spacing around 0.3;
+        # the search stops there and reports the half-bracket it reached.
+        x, fx, half = golden_section_minimize(lambda x: abs(x - 0.3), 0.2, 0.4, 1e-20)
+        assert x == pytest.approx(0.3, abs=1e-15)
+        assert 1e-20 < half <= math.ulp(0.3)
+
 
 class TestFindEigenvalues:
     def test_matches_transcendental_roots(self, well_states, electron):
@@ -88,7 +133,7 @@ class TestFindEigenvalues:
         assert len(well_states) == len(exact)
         for cand, e in zip(well_states, exact):
             assert cand.energy == pytest.approx(e, abs=1e-7)
-            assert cand.uncertainty <= 1e-9
+            assert 0.0 < cand.uncertainty <= 0.5e-9  # half a bracket of at most refine_tol
 
     def test_harmonic_levels(self, electron):
         # U = mass * omega^2 x^2 / (2 c^2) with omega = 1/fs
@@ -160,6 +205,67 @@ class TestFindEigenvalues:
         for tol in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=tol)
+
+    def test_checks_tolerance_before_the_scan(self, well, electron, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(eigen, "mismatch_curve", no_scan)
+        with pytest.raises(ValueError, match="tol"):
+            find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=0.0)
+
+    def test_tolerance_below_float_spacing_returns(self, well, electron):
+        found = find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-17)
+        exact = oracle.finite_well_eigenvalues(1.0, 1.0, electron)
+        assert len(found) == len(exact)
+        for cand, e in zip(found, exact):
+            assert cand.energy == pytest.approx(e, abs=1e-7)
+            assert cand.uncertainty <= math.ulp(cand.energy)  # bracket at float spacing
+
+    @settings(max_examples=12, deadline=None)
+    @given(V0=st.floats(0.2, 1.5), cells=st.integers(32, 96))
+    def test_phase_refinement_matches_oracle_and_golden_section(self, electron, V0, cells):
+        dp, half_width = binary_square_well(V0, cells)
+        tol = 1e-9
+        Emin, Emax, N_E = -V0 + 1e-3, -1e-4, 300
+        grid = np.linspace(Emin, Emax, N_E)
+        dE = grid[1] - grid[0]
+
+        def in_window(e):  # away from the scan ends, where a dip cannot be bracketed
+            return Emin + dE < e < Emax - dE
+
+        found = [c for c in find_eigenvalues(dp, Emin, Emax, N_E, electron, refine_tol=tol)
+                 if in_window(c.energy)]
+        exact = [e for e in oracle.finite_well_eigenvalues(V0, half_width, electron)
+                 if in_window(e)]
+        assert len(found) == len(exact) > 0
+        for cand, e in zip(found, exact):
+            assert abs(cand.energy - e) <= tol
+            i = int(np.argmin(np.abs(grid - cand.energy)))
+            e_golden, _, _ = golden_section_minimize(
+                lambda E: mismatch(dp, E, electron), grid[i - 1], grid[i + 1], tol)
+            assert abs(cand.energy - e_golden) <= tol
+
+    def test_finite_well_needs_no_golden_section(self, well, electron, golden_calls):
+        found = find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-9)
+        assert len(found) == 4
+        assert golden_calls == []
+
+    def test_double_well_level_without_phase_bracket(self, golden_calls):
+        # The right-well search of the double well also dips at a left-well
+        # level near -0.0626 eV; theta does not change sign over that dip,
+        # so golden section refines it.
+        found = config_levels("eigen_double_well")
+        assert len(found) == 5
+        assert len(golden_calls) == 1
+        assert found[1].energy == golden_calls[0][0] == pytest.approx(-0.0626, abs=1e-4)
+
+    def test_molecular_level_kept_by_the_fallback(self, golden_calls):
+        # The top molecular level: f at the theta root lies above the
+        # acceptance threshold, golden section on f finds it below.
+        found = config_levels("eigen_molecular")
+        assert len(found) == 5
+        assert found[-1].energy in [x for x, _, _ in golden_calls]
 
 
 class TestEigenfunction:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsweep import (
     DiscretizedPotential,
@@ -10,6 +14,7 @@ from qsweep import (
     make_expression,
     oracle,
     right_sweep,
+    transmission,
 )
 from qsweep.errors import NumericalSingularityError
 from qsweep.recursion import _left_coefficients
@@ -28,6 +33,26 @@ def random_structure(rng, N=120, span=3.0):
     dx[:-1] = np.diff(x)
     dx[-1] = dx[-2]
     return DiscretizedPotential(x=x, u=u, dx=dx)
+
+
+@st.composite
+def step_tables_and_energy(draw, max_steps=40):
+    """A random step table and an energy that propagates at both ends,
+    kept 1e-9 eV from every step value (where the degeneracy nudge costs
+    the recursion its last digits)."""
+    N = draw(st.integers(1, max_steps))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=N + 1, max_size=N + 1)))
+    widths = draw(st.lists(st.floats(0.01, 0.3), min_size=N, max_size=N))
+    E = max(u[0], u[-1]) + draw(st.floats(0.01, 1.5)) + 1e-4 * math.pi
+    assume(np.min(np.abs(E - u)) > 1e-9)
+    dx = np.append(widths, widths[-1])
+    x = np.concatenate([[0.0], np.cumsum(widths)])
+    return DiscretizedPotential(x=x, u=u, dx=dx), E
+
+
+def mirrored(dp):
+    """The step table read from the right: every step keeps its width."""
+    return DiscretizedPotential(x=-dp.x[::-1], u=dp.u[::-1], dx=dp.dx[::-1])
 
 
 class TestLeftSweep:
@@ -138,6 +163,23 @@ class TestConservation:
             t_left = ratio * abs(ls.A[-1] / ls.A[0]) ** 2
             t_right = (1.0 / ratio) * abs(rs.D[1] / rs.D[-1]) ** 2
             assert t_left == pytest.approx(t_right, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_tables_and_energy())
+    def test_reciprocity_property(self, electron, case):
+        dp, E = case
+        t_left, _ = transmission(left_sweep(dp, E, electron))
+        rs = right_sweep(dp, E, electron)
+        t_right = (rs.k[0].real / rs.k[-1].real) * abs(rs.D[1] / rs.D[-1]) ** 2
+        assert t_right == pytest.approx(t_left, rel=1e-9, abs=1e-300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=step_tables_and_energy())
+    def test_mirrored_potential_property(self, electron, case):
+        dp, E = case
+        t, _ = transmission(left_sweep(dp, E, electron))
+        t_mirrored, _ = transmission(left_sweep(mirrored(dp), E, electron))
+        assert t_mirrored == pytest.approx(t, rel=1e-9, abs=1e-300)
 
     def test_passive_reflection_bound(self, electron):
         rng = np.random.default_rng(77)
