@@ -281,3 +281,365 @@ def test_summary_lines_name_artifacts(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "transmission.csv" in stdout
     assert "5 rows" in stdout
+
+
+# ---------------------------------------------------------------------------
+# pinned problem messages: one bad config per message parse_config can emit
+
+DROP = object()  # marks a key to delete
+
+VALID_TASKS = {
+    "transmit": {"type": "transmit", "Emin": 0.1, "Emax": 1.0, "N_E": 5},
+    "wavefunc": {"type": "wavefunc", "energies": [0.3], "oversample": 2},
+    "fofe": {"type": "fofe", "Emin": -0.9, "Emax": -0.1, "N_E": 5,
+             "interval": [-1.0, 1.0]},
+    "eigen": {"type": "eigen", "Emin": -0.9, "Emax": -0.1, "N_E": 5,
+              "interval": [-1.0, 1.0], "refine_tol": 1e-6},
+    "packet": {"type": "packet", "E0": 0.4, "dE": 0.05, "N_E": 11, "x0": 0.0,
+               "times": [0.0], "samples": {"xmin": -4.0, "xmax": 4.0, "n": 9},
+               "region": [-1.0, 1.0]},
+}
+
+TABLE_FILES = {
+    "one_row.txt": "0 1\n",
+    "three_cols.txt": "0 1 2\n1 1\n",
+    "words.txt": "0 one\n1 1\n",
+    "unsorted.txt": "1 0\n0 0\n",
+}
+
+SQUARE = {"V0": 0.5, "center": 0.0, "width": 1.0}
+VWELL = {"heights": 0.5, "widths": [0.5, 2.4], "depth": 0.25}
+
+
+def builtin(name, **params):
+    return {"builtin": {"name": name, "params": params}}
+
+
+def piece(xmin="-inf", xmax="inf", expr="0", **extra):
+    return dict({"xmin": xmin, "xmax": xmax, "expr": expr}, **extra)
+
+
+def bad_doc(ttype, changes):
+    """The valid config of a task type with dotted paths set (DROP deletes;
+    the empty path replaces the whole document)."""
+    doc = json.loads(json.dumps({
+        "potential": {"expression": "0"},
+        "grid": {"x0": -5.0, "xN": 5.0, "N": 100},
+        "particle": {"mass": 511000.0},
+        "task": VALID_TASKS[ttype],
+        "output": {"dir": "out", "format": "csv"},
+    }))
+    for path, value in changes.items():
+        if path == "":
+            doc = value
+            continue
+        *parents, last = path.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+# (id, task type, changes, exact problems; <dir> is the config directory)
+PROBLEM_CASES = [
+    # document and sections
+    ("root-list", "transmit", {"": [1, 2]}, ["configuration root must be a JSON object"]),
+    ("unknown-section", "transmit", {"colour": "blue"}, ["unknown key 'config.colour'"]),
+    ("missing-section", "transmit", {"grid": DROP}, ["missing section 'grid'"]),
+    ("missing-potential", "transmit", {"potential": DROP}, ["missing section 'potential'"]),
+    # potential
+    ("potential-string", "transmit", {"potential": "0"}, ["'potential' must be an object"]),
+    ("potential-empty", "transmit", {"potential": {}},
+     ["'potential' must contain exactly one of 'builtin', 'expression', 'table'"]),
+    ("potential-two-sources", "transmit", {"potential.table": "t.txt"},
+     ["'potential' must contain exactly one of 'builtin', 'expression', 'table'"]),
+    ("potential-unknown-key", "transmit", {"potential.file": "t.txt"},
+     ["unknown key 'potential.file'"]),
+    ("builtin-string", "transmit", {"potential": {"builtin": "square_barrier"}},
+     ["'potential.builtin' must be an object"]),
+    ("builtin-unknown-key", "transmit",
+     {"potential": {"builtin": {"name": "square_barrier", "params": SQUARE, "kind": 1}}},
+     ["unknown key 'potential.builtin.kind'"]),
+    ("builtin-no-name", "transmit", {"potential": {"builtin": {"params": SQUARE}}},
+     ["'potential.builtin.name' must be a string"]),
+    ("builtin-name-number", "transmit", {"potential": {"builtin": {"name": 3}}},
+     ["'potential.builtin.name' must be a string"]),
+    ("builtin-params-list", "transmit",
+     {"potential": {"builtin": {"name": "coulomb_trunc", "params": [1.44, 0.01]}}},
+     ["'potential.builtin.params' must be an object"]),
+    ("builtin-unknown-name", "transmit", {"potential": builtin("morse")},
+     ["potential: unknown builtin potential 'morse'"]),
+    ("builtin-missing-param", "transmit",
+     {"potential": builtin("square_barrier", V0=0.5, center=0.0)},
+     ["potential: builtin 'square_barrier' missing parameter(s): width"]),
+    ("builtin-unknown-param", "transmit",
+     {"potential": builtin("coulomb_trunc", e2=1.44, eps=0.01, Z=2)},
+     ["potential: builtin 'coulomb_trunc' got unknown parameter(s): Z"]),
+    ("builtin-zero-width", "transmit",
+     {"potential": builtin("square_barrier", **dict(SQUARE, width=0.0))},
+     ["potential: builtin 'square_barrier' needs width > 0"]),
+    ("builtin-lj-needs-mass", "transmit",
+     {"potential": builtin("lennard_jones", A=1e-12, B=1e-6, J=2)},
+     ["potential: builtin 'lennard_jones' needs 'mass' when J != 0"]),
+    ("builtin-widths-scalar", "transmit",
+     {"potential": builtin("double_barrier_vwell", **dict(VWELL, widths=0.5))},
+     ["potential: builtin 'double_barrier_vwell' needs widths=(barrier_width, well_width)"]),
+    ("builtin-widths-negative", "transmit",
+     {"potential": builtin("double_barrier_vwell", **dict(VWELL, widths=[-0.5, 2.4]))},
+     ["potential: builtin 'double_barrier_vwell' needs positive widths"]),
+    ("builtin-heights-triple", "transmit",
+     {"potential": builtin("double_barrier_vwell", **dict(VWELL, heights=[1, 2, 3]))},
+     ["potential: expected a scalar or a pair, got [1, 2, 3]"]),
+    ("expression-unknown-identifier", "transmit", {"potential.expression": "2*y"},
+     ["potential: unknown identifier 'y' (character 2)"]),
+    ("expression-unknown-function", "transmit", {"potential.expression": "sin(x)"},
+     ["potential: unknown function 'sin' (character 0)"]),
+    ("expression-bad-character", "transmit", {"potential.expression": "x $ 1"},
+     ["potential: unexpected character '$' (character 2)"]),
+    ("expression-unclosed", "transmit", {"potential.expression": "(x"},
+     ["potential: expected ')' (character 2)"]),
+    ("expression-truncated", "transmit", {"potential.expression": "x +"},
+     ["potential: unexpected end of expression (character 3)"]),
+    ("expression-unexpected", "transmit", {"potential.expression": "*x"},
+     ["potential: unexpected '*' (character 0)"]),
+    ("expression-trailing", "transmit", {"potential.expression": "x x"},
+     ["potential: trailing input 'x' (character 2)"]),
+    ("expression-number", "transmit", {"potential.expression": 5},
+     ["'potential.expression' must be a string or a list of pieces"]),
+    ("piece-not-object", "transmit", {"potential.expression": [5]},
+     ["'potential.expression[0]' must be an object"]),
+    ("piece-unknown-key", "transmit", {"potential.expression": [piece(note=1)]},
+     ["unknown key 'potential.expression[0].note'"]),
+    ("piece-missing-expr", "transmit",
+     {"potential.expression": [{"xmin": "-inf", "xmax": "inf"}]},
+     ["'potential.expression[0]' missing expr"]),
+    ("piece-missing-bounds", "transmit", {"potential.expression": [{"expr": "0"}]},
+     ["'potential.expression[0]' missing xmin, xmax"]),
+    ("piece-bad-bound", "transmit",
+     {"potential.expression": [piece(), piece(xmin="-infinity")]},
+     ["'potential.expression[1].xmin' must be a number or 'inf'/'-inf', got '-infinity'"]),
+    ("piece-nan-bound", "transmit", {"potential.expression": [piece(xmax=math.nan)]},
+     ["'potential.expression[0].xmax' must be a number or 'inf'/'-inf', got nan"]),
+    ("piece-expr-number", "transmit", {"potential.expression": [piece(expr=0)]},
+     ["'potential.expression[0].expr' must be a string"]),
+    ("piece-empty-range", "transmit",
+     {"potential.expression": [piece(xmin=1, xmax=1)]},
+     ["potential: empty piece range [1.0, 1.0)"]),
+    ("piece-gap", "transmit",
+     {"potential.expression": [piece(xmax=0), piece(xmin=1)]},
+     ["potential: expression pieces must tile a connected range; "
+      "piece ending at 0.0 is followed by one starting at 1.0"]),
+    ("piece-bad-expr", "transmit", {"potential.expression": [piece(expr="x +")]},
+     ["potential: unexpected end of expression (character 3)"]),
+    ("table-number", "transmit", {"potential": {"table": 3}},
+     ["'potential.table' must be a file path string"]),
+    ("table-missing-file", "transmit", {"potential": {"table": "nope.txt"}},
+     ["potential: [Errno 2] No such file or directory: '<dir>/nope.txt'"]),
+    ("table-one-row", "transmit", {"potential": {"table": "one_row.txt"}},
+     ["potential: table needs at least 2 rows"]),
+    ("table-three-columns", "transmit", {"potential": {"table": "three_cols.txt"}},
+     ["potential: <dir>/three_cols.txt:1: expected two columns, got 3"]),
+    ("table-not-numeric", "transmit", {"potential": {"table": "words.txt"}},
+     ["potential: <dir>/words.txt:1: not numeric: '0 one'"]),
+    ("table-unsorted", "transmit", {"potential": {"table": "unsorted.txt"}},
+     ["potential: table x values must be strictly increasing (1.0 then 0.0)"]),
+    # grid
+    ("grid-list", "transmit", {"grid": [-5.0, 5.0, 100]}, ["'grid' must be an object"]),
+    ("grid-unknown-key", "transmit", {"grid.dx": 0.1}, ["unknown key 'grid.dx'"]),
+    ("grid-missing-x0", "transmit", {"grid.x0": DROP}, ["missing key 'grid.x0'"]),
+    ("grid-x0-string", "transmit", {"grid.x0": "-5"},
+     ["'grid.x0' must be a finite number, got '-5'"]),
+    ("grid-xN-nan", "transmit", {"grid.xN": math.nan},
+     ["'grid.xN' must be a finite number, got nan"]),
+    ("grid-xN-inf", "transmit", {"grid.xN": math.inf},
+     ["'grid.xN' must be a finite number, got inf"]),
+    ("grid-x0-bool", "transmit", {"grid.x0": True},
+     ["'grid.x0' must be a finite number, got True"]),
+    ("grid-x0-null", "transmit", {"grid.x0": None},
+     ["'grid.x0' must be a finite number, got None"]),
+    ("grid-N-one", "transmit", {"grid.N": 1}, ["'grid.N' must be an integer >= 2, got 1"]),
+    ("grid-N-float", "transmit", {"grid.N": 100.0},
+     ["'grid.N' must be an integer >= 2, got 100.0"]),
+    ("grid-N-bool", "transmit", {"grid.N": True},
+     ["'grid.N' must be an integer >= 2, got True"]),
+    ("grid-reversed", "transmit", {"grid.x0": 5, "grid.xN": -5},
+     ["'grid' must satisfy x0 < xN, got 5.0 >= -5.0"]),
+    ("grid-empty", "transmit", {"grid.xN": -5.0},
+     ["'grid' must satisfy x0 < xN, got -5.0 >= -5.0"]),
+    # particle
+    ("particle-number", "transmit", {"particle": 511000.0}, ["'particle' must be an object"]),
+    ("particle-unknown-key", "transmit", {"particle.charge": -1},
+     ["unknown key 'particle.charge'"]),
+    ("particle-missing-mass", "transmit", {"particle.mass": DROP},
+     ["missing key 'particle.mass'"]),
+    ("particle-zero-mass", "transmit", {"particle.mass": 0},
+     ["'particle.mass' must be positive, got 0"]),
+    ("particle-negative-mass", "transmit", {"particle.mass": -1.5},
+     ["'particle.mass' must be positive, got -1.5"]),
+    ("particle-mass-list", "transmit", {"particle.mass": [1.0]},
+     ["'particle.mass' must be a finite number, got [1.0]"]),
+    # task
+    ("task-list", "transmit", {"task": ["transmit"]}, ["'task' must be an object"]),
+    ("task-no-type", "transmit", {"task.type": DROP},
+     ["'task.type' must be one of transmit, wavefunc, fofe, eigen, packet, got None"]),
+    ("task-bad-type", "transmit", {"task.type": "scan"},
+     ["'task.type' must be one of transmit, wavefunc, fofe, eigen, packet, got 'scan'"]),
+    ("transmit-unknown-key", "transmit", {"task.Emni": 0.1}, ["unknown key 'task.Emni'"]),
+    ("transmit-interval", "transmit", {"task.interval": [0, 1]},
+     ["unknown key 'task.interval'"]),
+    ("transmit-missing-Emin", "transmit", {"task.Emin": DROP}, ["missing key 'task.Emin'"]),
+    ("transmit-Emax-string", "transmit", {"task.Emax": "1"},
+     ["'task.Emax' must be a finite number, got '1'"]),
+    ("transmit-Emax-neg-inf", "transmit", {"task.Emax": -math.inf},
+     ["'task.Emax' must be a finite number, got -inf"]),
+    ("transmit-missing-N_E", "transmit", {"task.N_E": DROP}, ["missing key 'task.N_E'"]),
+    ("transmit-N_E-one", "transmit", {"task.N_E": 1},
+     ["'task.N_E' must be an integer >= 2, got 1"]),
+    ("transmit-N_E-string", "transmit", {"task.N_E": "5"},
+     ["'task.N_E' must be an integer >= 2, got '5'"]),
+    ("wavefunc-unknown-key", "wavefunc", {"task.N_E": 5}, ["unknown key 'task.N_E'"]),
+    ("wavefunc-missing-energies", "wavefunc", {"task.energies": DROP},
+     ["'task.energies' must be a nonempty list of numbers"]),
+    ("wavefunc-empty-energies", "wavefunc", {"task.energies": []},
+     ["'task.energies' must be a nonempty list of numbers"]),
+    ("wavefunc-energy-nan", "wavefunc", {"task.energies": [0.3, math.nan]},
+     ["'task.energies' must be a nonempty list of numbers"]),
+    ("wavefunc-energies-number", "wavefunc", {"task.energies": 0.3},
+     ["'task.energies' must be a nonempty list of numbers"]),
+    ("wavefunc-oversample-zero", "wavefunc", {"task.oversample": 0},
+     ["'task.oversample' must be an integer >= 1, got 0"]),
+    ("wavefunc-oversample-float", "wavefunc", {"task.oversample": 1.5},
+     ["'task.oversample' must be an integer >= 1, got 1.5"]),
+    ("wavefunc-oversample-null", "wavefunc", {"task.oversample": None},
+     ["'task.oversample' must be an integer >= 1, got None"]),
+    ("fofe-unknown-key", "fofe", {"task.refine_tol": 1e-6}, ["unknown key 'task.refine_tol'"]),
+    ("fofe-missing-Emax", "fofe", {"task.Emax": DROP}, ["missing key 'task.Emax'"]),
+    ("fofe-N_E-two", "fofe", {"task.N_E": 2}, ["'task.N_E' must be an integer >= 3, got 2"]),
+    ("fofe-interval-reversed", "fofe", {"task.interval": [1.0, -1.0]},
+     ["'task.interval' must be [a, b] with a < b, got [1.0, -1.0]"]),
+    ("fofe-interval-string", "fofe", {"task.interval": [0, "1"]},
+     ["'task.interval' must be [a, b] with a < b, got [0, '1']"]),
+    ("fofe-interval-triple", "fofe", {"task.interval": [0, 1, 2]},
+     ["'task.interval' must be [a, b] with a < b, got [0, 1, 2]"]),
+    ("fofe-interval-null", "fofe", {"task.interval": None},
+     ["'task.interval' must be [a, b] with a < b, got None"]),
+    ("eigen-unknown-key", "eigen", {"task.energies": [0.1]}, ["unknown key 'task.energies'"]),
+    ("eigen-Emin-bool", "eigen", {"task.Emin": False},
+     ["'task.Emin' must be a finite number, got False"]),
+    ("eigen-N_E-two", "eigen", {"task.N_E": 2}, ["'task.N_E' must be an integer >= 3, got 2"]),
+    ("eigen-interval-empty", "eigen", {"task.interval": [0.5, 0.5]},
+     ["'task.interval' must be [a, b] with a < b, got [0.5, 0.5]"]),
+    ("eigen-refine-tol-zero", "eigen", {"task.refine_tol": 0},
+     ["'task.refine_tol' must be positive, got 0"]),
+    ("eigen-refine-tol-string", "eigen", {"task.refine_tol": "1e-6"},
+     ["'task.refine_tol' must be a finite number, got '1e-6'"]),
+    ("packet-unknown-key", "packet", {"task.t": [0.0]}, ["unknown key 'task.t'"]),
+    ("packet-missing-E0", "packet", {"task.E0": DROP}, ["missing key 'task.E0'"]),
+    ("packet-E0-negative", "packet", {"task.E0": -0.4},
+     ["'task.E0' must be positive, got -0.4"]),
+    ("packet-E0-string", "packet", {"task.E0": "0.4"},
+     ["'task.E0' must be a finite number, got '0.4'"]),
+    ("packet-no-width", "packet", {"task.dE": DROP},
+     ["'task' must contain exactly one of 'dE' or 'sigma_x'"]),
+    ("packet-two-widths", "packet", {"task.sigma_x": 10.0},
+     ["'task' must contain exactly one of 'dE' or 'sigma_x'"]),
+    ("packet-dE-zero", "packet", {"task.dE": 0.0}, ["'task.dE' must be positive, got 0.0"]),
+    ("packet-sigma_x-negative", "packet", {"task.dE": DROP, "task.sigma_x": -10},
+     ["'task.sigma_x' must be positive, got -10"]),
+    ("packet-sigma_x-null", "packet", {"task.dE": DROP, "task.sigma_x": None},
+     ["'task.sigma_x' must be a finite number, got None"]),
+    ("packet-N_E-two", "packet", {"task.N_E": 2},
+     ["'task.N_E' must be an integer >= 3, got 2"]),
+    ("packet-missing-x0", "packet", {"task.x0": DROP}, ["missing key 'task.x0'"]),
+    ("packet-x0-nan", "packet", {"task.x0": math.nan},
+     ["'task.x0' must be a finite number, got nan"]),
+    ("packet-missing-times", "packet", {"task.times": DROP},
+     ["'task.times' must be a nonempty list of times >= 0 (fs)"]),
+    ("packet-negative-time", "packet", {"task.times": [0.0, -1.0]},
+     ["'task.times' must be a nonempty list of times >= 0 (fs)"]),
+    ("packet-empty-times", "packet", {"task.times": []},
+     ["'task.times' must be a nonempty list of times >= 0 (fs)"]),
+    ("packet-samples-list", "packet", {"task.samples": [-4.0, 4.0, 9]},
+     ["'task.samples' must be {xmin, xmax, n} with xmin < xmax"]),
+    ("packet-samples-unknown-key", "packet", {"task.samples.dx": 1.0},
+     ["unknown key 'task.samples.dx'"]),
+    ("packet-samples-missing-n", "packet", {"task.samples.n": DROP},
+     ["missing key 'task.samples.n'",
+      "'task.samples' must be {xmin, xmax, n} with xmin < xmax"]),
+    ("packet-samples-n-one", "packet", {"task.samples.n": 1},
+     ["'task.samples.n' must be an integer >= 2, got 1",
+      "'task.samples' must be {xmin, xmax, n} with xmin < xmax"]),
+    ("packet-samples-xmin-string", "packet", {"task.samples.xmin": "a"},
+     ["'task.samples.xmin' must be a finite number, got 'a'",
+      "'task.samples' must be {xmin, xmax, n} with xmin < xmax"]),
+    ("packet-samples-reversed", "packet", {"task.samples.xmin": 4.0, "task.samples.xmax": -4.0},
+     ["'task.samples' must be {xmin, xmax, n} with xmin < xmax"]),
+    ("packet-region-reversed", "packet", {"task.region": [1.0, -1.0]},
+     ["'task.region' must be [a, b] with a < b, got [1.0, -1.0]"]),
+    ("packet-region-inf", "packet", {"task.region": [-1.0, math.inf]},
+     ["'task.region' must be [a, b] with a < b, got [-1.0, inf]"]),
+    # output
+    ("output-string", "transmit", {"output": "out"}, ["'output' must be an object"]),
+    ("output-unknown-key", "transmit", {"output.name": "run"}, ["unknown key 'output.name'"]),
+    ("output-missing-dir", "transmit", {"output.dir": DROP},
+     ["'output.dir' must be a directory path string"]),
+    ("output-dir-number", "transmit", {"output.dir": 5},
+     ["'output.dir' must be a directory path string"]),
+    ("output-format", "transmit", {"output.format": "xml"},
+     ["'output.format' must be 'csv' or 'json', got 'xml'"]),
+    ("output-format-null", "transmit", {"output.format": None},
+     ["'output.format' must be 'csv' or 'json', got None"]),
+]
+
+
+@pytest.fixture
+def table_dir(tmp_path):
+    for name, text in TABLE_FILES.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def problems_of(doc, base_dir):
+    with pytest.raises(ConfigError) as errinfo:
+        cli.parse_config(doc, base_dir)
+    return errinfo.value.problems
+
+
+@pytest.mark.parametrize("ttype,changes,expected",
+                         [case[1:] for case in PROBLEM_CASES],
+                         ids=[case[0] for case in PROBLEM_CASES])
+def test_problem_messages(table_dir, ttype, changes, expected):
+    expected = [p.replace("<dir>", str(table_dir)) for p in expected]
+    assert problems_of(bad_doc(ttype, changes), table_dir) == expected
+
+
+def test_valid_task_configs_parse(table_dir):
+    for ttype in VALID_TASKS:
+        cli.parse_config(bad_doc(ttype, {}), table_dir)
+
+
+@pytest.mark.parametrize("ttype,changes,expected", [
+    ("transmit",
+     {"colour": "blue", "grid.dx": 0.1, "particle.mass": -1, "task.Emni": 0.1,
+      "task.N_E": 1, "output.format": "xml", "potential.expression": "2*y"},
+     ["unknown key 'config.colour'", "unknown key 'grid.dx'",
+      "'particle.mass' must be positive, got -1", "unknown key 'task.Emni'",
+      "'task.N_E' must be an integer >= 2, got 1",
+      "'output.format' must be 'csv' or 'json', got 'xml'",
+      "potential: unknown identifier 'y' (character 2)"]),
+    ("packet",
+     {"particle": DROP, "grid.x0": 6.0, "task.E0": DROP, "task.times": [-1.0],
+      "task.region": [1.0], "task.samples": {"xmin": 1.0, "xmax": 0.0, "n": 9},
+      "output.dir": None},
+     ["missing section 'particle'", "'grid' must satisfy x0 < xN, got 6.0 >= 5.0",
+      "missing key 'task.E0'", "'task.times' must be a nonempty list of times >= 0 (fs)",
+      "'task.samples' must be {xmin, xmax, n} with xmin < xmax",
+      "'task.region' must be [a, b] with a < b, got [1.0]",
+      "'output.dir' must be a directory path string"]),
+], ids=["transmit-seven-faults", "packet-seven-faults"])
+def test_every_fault_reported(table_dir, ttype, changes, expected):
+    assert sorted(problems_of(bad_doc(ttype, changes), table_dir)) == sorted(expected)
