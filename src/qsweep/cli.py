@@ -32,8 +32,6 @@ from .eigen import eigenfunction, find_eigenvalues, mismatch_curve
 from .errors import ConfigError, SolverError
 from .potential import (
     DiscretizedPotential,
-    ExpressionError,
-    PotentialEvalError,
     PotentialSpec,
     discretize,
     make_builtin,
@@ -43,9 +41,6 @@ from .potential import (
 from .recursion import left_sweep
 from .scattering import sample_wavefunction, transmission_curve
 from .wavepacket import design_packet, evolve, precompute_modes, region_probability
-
-TASK_TYPES = ("transmit", "wavefunc", "fofe", "eigen", "packet")
-
 
 @dataclass
 class RunConfig:
@@ -62,6 +57,30 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # validation
+#
+# A rule checks one key: "number" (finite), "positive", an int n (integer
+# >= n) or "pair" ([a, b] with a < b).  Keys without a rule (None) are
+# checked by hand in _parse_task.
+
+TASKS = {
+    "transmit": {"Emin": "number", "Emax": "number", "N_E": 2},
+    "wavefunc": {"energies": None, "oversample": 1},
+    "fofe": {"Emin": "number", "Emax": "number", "N_E": 3, "interval": "pair"},
+    "eigen": {"Emin": "number", "Emax": "number", "N_E": 3, "interval": "pair",
+              "refine_tol": "positive"},
+    "packet": {"E0": "positive", "dE": "positive", "sigma_x": "positive", "N_E": 3,
+               "x0": "number", "times": None, "samples": None, "region": "pair"},
+}
+# task keys that may be left out, with the value they then take
+OPTIONAL = {"oversample": 1, "interval": None, "refine_tol": None, "dE": None,
+            "sigma_x": None, "samples": None, "region": None}
+GRID = {"x0": "number", "xN": "number", "N": 2}
+SAMPLES = {"xmin": "number", "xmax": "number", "n": 2}
+# the sections of a config, each with its allowed keys (task: see TASKS)
+SECTIONS = {"potential": ("builtin", "expression", "table"), "grid": GRID,
+            "particle": ("mass",), "task": None, "output": ("dir", "format")}
+PIECE = ("xmin", "xmax", "expr")
+
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
@@ -73,37 +92,60 @@ def _check_keys(section: dict, where: str, allowed, problems: list):
             problems.append(f"unknown key '{where}.{key}'")
 
 
-def _require_num(section: dict, where: str, key: str, problems: list, cond=None, desc=""):
+def _value(section: dict, where: str, key: str, rule, problems: list, optional=False):
+    """section[key] checked against its rule; None when absent or bad."""
     if key not in section:
-        problems.append(f"missing key '{where}.{key}'")
+        if not optional:
+            problems.append(f"missing key '{where}.{key}'")
         return None
     v = section[key]
-    if not _is_num(v):
+    if rule == "pair":
+        if isinstance(v, list) and len(v) == 2 and all(map(_is_num, v)) and v[0] < v[1]:
+            return (float(v[0]), float(v[1]))
+        problems.append(f"'{where}.{key}' must be [a, b] with a < b, got {v!r}")
+    elif isinstance(rule, int):
+        if isinstance(v, int) and not isinstance(v, bool) and v >= rule:
+            return v
+        problems.append(f"'{where}.{key}' must be an integer >= {rule}, got {v!r}")
+    elif not _is_num(v):
         problems.append(f"'{where}.{key}' must be a finite number, got {v!r}")
-        return None
-    if cond is not None and not cond(v):
-        problems.append(f"'{where}.{key}' must be {desc}, got {v!r}")
-        return None
-    return float(v)
+    elif rule == "positive" and not v > 0:
+        problems.append(f"'{where}.{key}' must be positive, got {v!r}")
+    else:
+        return float(v)
+    return None
 
 
-def _require_int(section: dict, where: str, key: str, problems: list, minimum: int):
-    if key not in section:
-        problems.append(f"missing key '{where}.{key}'")
-        return None
-    v = section[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        problems.append(f"'{where}.{key}' must be an integer >= {minimum}, got {v!r}")
-        return None
-    return v
+def _values(section: dict, where: str, rules: dict, problems: list) -> dict:
+    """Every key of a section checked by its rule; absent or bad ones, and
+    those without a rule, take their OPTIONAL default (else None)."""
+    out = {}
+    for key, rule in rules.items():
+        v = None if rule is None else _value(section, where, key, rule, problems,
+                                             key in OPTIONAL)
+        out[key] = OPTIONAL.get(key) if v is None else v
+    return out
 
 
-def _parse_potential(section, base_dir: Path, problems: list) -> PotentialSpec | None:
+def _ascending(where: str, lo: str, hi: str, values: dict, problems: list):
+    a, b = values[lo], values[hi]
+    if a is not None and b is not None and not a < b:
+        problems.append(f"'{where}' must satisfy {lo} < {hi}, got {a!r} >= {b!r}")
+
+
+def _object(doc, key, where: str, problems: list, allowed=None) -> dict | None:
+    """doc[key] if it is an object (reporting its unknown keys), else None."""
+    section = doc[key]
     if not isinstance(section, dict):
-        problems.append("'potential' must be an object")
+        problems.append(f"'{where}' must be an object")
         return None
-    sources = [k for k in ("builtin", "expression", "table") if k in section]
-    _check_keys(section, "potential", ("builtin", "expression", "table"), problems)
+    if allowed is not None:
+        _check_keys(section, where, allowed, problems)
+    return section
+
+
+def _parse_potential(section: dict, base_dir: Path, problems: list) -> PotentialSpec | None:
+    sources = [k for k in SECTIONS["potential"] if k in section]
     if len(sources) != 1:
         problems.append(
             "'potential' must contain exactly one of 'builtin', 'expression', 'table'"
@@ -111,45 +153,41 @@ def _parse_potential(section, base_dir: Path, problems: list) -> PotentialSpec |
         return None
     try:
         if sources[0] == "builtin":
-            blk = section["builtin"]
-            if not isinstance(blk, dict):
-                problems.append("'potential.builtin' must be an object")
+            blk = _object(section, "builtin", "potential.builtin", problems, ("name", "params"))
+            if blk is None:
                 return None
-            _check_keys(blk, "potential.builtin", ("name", "params"), problems)
-            if "name" not in blk or not isinstance(blk["name"], str):
+            if not isinstance(blk.get("name"), str):
                 problems.append("'potential.builtin.name' must be a string")
                 return None
-            params = blk.get("params", {})
-            if not isinstance(params, dict):
-                problems.append("'potential.builtin.params' must be an object")
-                return None
-            return make_builtin(blk["name"], params)
+            params = _object(blk, "params", "potential.builtin.params", problems) \
+                if "params" in blk else {}
+            return None if params is None else make_builtin(blk["name"], params)
         if sources[0] == "expression":
             blk = section["expression"]
             if isinstance(blk, str):
                 return make_expression(blk)
-            if isinstance(blk, list):
-                pieces = []
-                for i, piece in enumerate(blk):
-                    where = f"potential.expression[{i}]"
-                    if not isinstance(piece, dict):
-                        problems.append(f"'{where}' must be an object")
-                        return None
-                    _check_keys(piece, where, ("xmin", "xmax", "expr"), problems)
-                    missing = [k for k in ("xmin", "xmax", "expr") if k not in piece]
-                    if missing:
-                        problems.append(f"'{where}' missing {', '.join(missing)}")
-                        return None
-                    lo = _to_bound(piece["xmin"], where + ".xmin", problems)
-                    hi = _to_bound(piece["xmax"], where + ".xmax", problems)
-                    if lo is None or hi is None or not isinstance(piece["expr"], str):
-                        if not isinstance(piece["expr"], str):
-                            problems.append(f"'{where}.expr' must be a string")
-                        return None
-                    pieces.append((lo, hi, piece["expr"]))
-                return make_expression(pieces)
-            problems.append("'potential.expression' must be a string or a list of pieces")
-            return None
+            if not isinstance(blk, list):
+                problems.append("'potential.expression' must be a string or a list of pieces")
+                return None
+            pieces = []
+            for i in range(len(blk)):
+                where = f"potential.expression[{i}]"
+                piece = _object(blk, i, where, problems, PIECE)
+                if piece is None:
+                    return None
+                missing = [k for k in PIECE if k not in piece]
+                if missing:
+                    problems.append(f"'{where}' missing {', '.join(missing)}")
+                    return None
+                lo = _to_bound(piece["xmin"], where + ".xmin", problems)
+                hi = _to_bound(piece["xmax"], where + ".xmax", problems)
+                if not isinstance(piece["expr"], str):
+                    problems.append(f"'{where}.expr' must be a string")
+                    return None
+                if lo is None or hi is None:
+                    return None
+                pieces.append((lo, hi, piece["expr"]))
+            return make_expression(pieces)
         path = section["table"]
         if not isinstance(path, str):
             problems.append("'potential.table' must be a file path string")
@@ -171,107 +209,42 @@ def _to_bound(v, where: str, problems: list):
     return None
 
 
-def _parse_interval(task: dict, problems: list):
-    if "interval" not in task:
-        return None
-    iv = task["interval"]
-    if (not isinstance(iv, list) or len(iv) != 2 or not all(_is_num(v) for v in iv)
-            or not iv[0] < iv[1]):
-        problems.append(f"'task.interval' must be [a, b] with a < b, got {iv!r}")
-        return None
-    return (float(iv[0]), float(iv[1]))
-
-
-def _parse_task(section, problems: list) -> dict | None:
-    if not isinstance(section, dict):
-        problems.append("'task' must be an object")
-        return None
+def _parse_task(section: dict, problems: list) -> dict | None:
     ttype = section.get("type")
-    if ttype not in TASK_TYPES:
-        problems.append(f"'task.type' must be one of {', '.join(TASK_TYPES)}, got {ttype!r}")
+    if not isinstance(ttype, str) or ttype not in TASKS:
+        problems.append(f"'task.type' must be one of {', '.join(TASKS)}, got {ttype!r}")
         return None
-    task: dict = {"type": ttype}
-    if ttype == "transmit":
-        _check_keys(section, "task", ("type", "Emin", "Emax", "N_E"), problems)
-        task["Emin"] = _require_num(section, "task", "Emin", problems)
-        task["Emax"] = _require_num(section, "task", "Emax", problems)
-        task["N_E"] = _require_int(section, "task", "N_E", problems, 2)
-    elif ttype == "wavefunc":
-        _check_keys(section, "task", ("type", "energies", "oversample"), problems)
+    rules = TASKS[ttype]
+    _check_keys(section, "task", ("type", *rules), problems)
+    task = {"type": ttype, **_values(section, "task", rules, problems)}
+    if ttype == "eigen":
+        _ascending("task", "Emin", "Emax", task, problems)
+    if ttype == "wavefunc":
         energies = section.get("energies")
-        if not isinstance(energies, list) or not energies or not all(
-            _is_num(e) for e in energies
-        ):
+        if not isinstance(energies, list) or not energies or not all(map(_is_num, energies)):
             problems.append("'task.energies' must be a nonempty list of numbers")
         else:
             task["energies"] = [float(e) for e in energies]
-        over = section.get("oversample", 1)
-        if not isinstance(over, int) or isinstance(over, bool) or over < 1:
-            problems.append(f"'task.oversample' must be an integer >= 1, got {over!r}")
-        task["oversample"] = over if isinstance(over, int) else 1
-    elif ttype in ("fofe", "eigen"):
-        allowed = ("type", "Emin", "Emax", "N_E", "interval")
-        if ttype == "eigen":
-            allowed += ("refine_tol",)
-        _check_keys(section, "task", allowed, problems)
-        task["Emin"] = _require_num(section, "task", "Emin", problems)
-        task["Emax"] = _require_num(section, "task", "Emax", problems)
-        task["N_E"] = _require_int(section, "task", "N_E", problems, 3)
-        task["interval"] = _parse_interval(section, problems)
-        if ttype == "eigen" and "refine_tol" in section:
-            task["refine_tol"] = _require_num(
-                section, "task", "refine_tol", problems, lambda v: v > 0, "positive"
-            )
-        else:
-            task["refine_tol"] = None
-    else:  # packet
-        allowed = ("type", "E0", "dE", "sigma_x", "N_E", "x0", "times", "samples", "region")
-        _check_keys(section, "task", allowed, problems)
-        task["E0"] = _require_num(section, "task", "E0", problems, lambda v: v > 0, "positive")
-        has_de, has_sx = "dE" in section, "sigma_x" in section
-        if has_de == has_sx:
-            problems.append("'task' must contain exactly one of 'dE' or 'sigma_x'")
-        elif has_de:
-            task["dE"] = _require_num(section, "task", "dE", problems, lambda v: v > 0, "positive")
-            task["sigma_x"] = None
-        else:
-            task["sigma_x"] = _require_num(
-                section, "task", "sigma_x", problems, lambda v: v > 0, "positive"
-            )
-            task["dE"] = None
-        task["N_E"] = _require_int(section, "task", "N_E", problems, 3)
-        task["x0"] = _require_num(section, "task", "x0", problems)
-        times = section.get("times")
-        if not isinstance(times, list) or not times or not all(
-            _is_num(t) and t >= 0 for t in times
-        ):
-            problems.append("'task.times' must be a nonempty list of times >= 0 (fs)")
-        else:
-            task["times"] = [float(t) for t in times]
-        if "samples" in section:
-            blk = section["samples"]
-            ok = isinstance(blk, dict)
-            if ok:
-                _check_keys(blk, "task.samples", ("xmin", "xmax", "n"), problems)
-                lo = _require_num(blk, "task.samples", "xmin", problems)
-                hi = _require_num(blk, "task.samples", "xmax", problems)
-                n = _require_int(blk, "task.samples", "n", problems, 2)
-                ok = lo is not None and hi is not None and n is not None and lo < hi
-                if ok:
-                    task["samples"] = (lo, hi, n)
-            if not ok:
-                problems.append("'task.samples' must be {xmin, xmax, n} with xmin < xmax")
-        else:
-            task["samples"] = None
-        if "region" in section:
-            region = section["region"]
-            if (not isinstance(region, list) or len(region) != 2
-                    or not all(_is_num(v) for v in region) or not region[0] < region[1]):
-                problems.append(f"'task.region' must be [a, b] with a < b, got {region!r}")
-            else:
-                task["region"] = (float(region[0]), float(region[1]))
-        else:
-            task["region"] = None
+    if ttype != "packet":
+        return task
+    if ("dE" in section) == ("sigma_x" in section):
+        problems.append("'task' must contain exactly one of 'dE' or 'sigma_x'")
+    times = section.get("times")
+    if not isinstance(times, list) or not times or not all(
+        _is_num(t) and t >= 0 for t in times
+    ):
+        problems.append("'task.times' must be a nonempty list of times >= 0 (fs)")
+    else:
+        task["times"] = [float(t) for t in times]
+    if "samples" in section:
+        blk = section["samples"]
+        if isinstance(blk, dict):
+            _check_keys(blk, "task.samples", SAMPLES, problems)
+            s = _values(blk, "task.samples", SAMPLES, problems)
+            if None not in s.values() and s["xmin"] < s["xmax"]:
+                task["samples"] = (s["xmin"], s["xmax"], s["n"])
+        if task["samples"] is None:
+            problems.append("'task.samples' must be {xmin, xmax, n} with xmin < xmax")
     return task
 
 
@@ -280,44 +253,26 @@ def parse_config(doc, base_dir: Path) -> RunConfig:
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _check_keys(doc, "config", ("potential", "grid", "particle", "task", "output"), problems)
-    for key in ("potential", "grid", "particle", "task", "output"):
-        if key not in doc:
-            problems.append(f"missing section '{key}'")
-    spec = _parse_potential(doc.get("potential", {}), base_dir, problems) \
-        if "potential" in doc else None
+    _check_keys(doc, "config", SECTIONS, problems)
+    problems += [f"missing section '{key}'" for key in SECTIONS if key not in doc]
 
-    x0 = xN = None
-    N = None
-    grid = doc.get("grid")
-    if isinstance(grid, dict):
-        _check_keys(grid, "grid", ("x0", "xN", "N"), problems)
-        x0 = _require_num(grid, "grid", "x0", problems)
-        xN = _require_num(grid, "grid", "xN", problems)
-        N = _require_int(grid, "grid", "N", problems, 2)
-        if x0 is not None and xN is not None and not x0 < xN:
-            problems.append(f"'grid' must satisfy x0 < xN, got {x0!r} >= {xN!r}")
-    elif "grid" in doc:
-        problems.append("'grid' must be an object")
+    def section(key):
+        return _object(doc, key, key, problems, SECTIONS[key]) if key in doc else None
 
-    ctx = None
-    particle = doc.get("particle")
-    if isinstance(particle, dict):
-        _check_keys(particle, "particle", ("mass",), problems)
-        mass = _require_num(particle, "particle", "mass", problems,
-                            lambda v: v > 0, "positive")
+    spec = ctx = task = outdir = fmt = None
+    grid = dict.fromkeys(GRID)
+    if (potential := section("potential")) is not None:
+        spec = _parse_potential(potential, base_dir, problems)
+    if (blk := section("grid")) is not None:
+        grid = _values(blk, "grid", GRID, problems)
+        _ascending("grid", "x0", "xN", grid, problems)
+    if (blk := section("particle")) is not None:
+        mass = _value(blk, "particle", "mass", "positive", problems)
         if mass is not None:
             ctx = ParticleContext.for_mass(mass)
-    elif "particle" in doc:
-        problems.append("'particle' must be an object")
-
-    task = _parse_task(doc.get("task"), problems) if "task" in doc else None
-
-    outdir = None
-    fmt = None
-    output = doc.get("output")
-    if isinstance(output, dict):
-        _check_keys(output, "output", ("dir", "format"), problems)
+    if (blk := section("task")) is not None:
+        task = _parse_task(blk, problems)
+    if (output := section("output")) is not None:
         if not isinstance(output.get("dir"), str):
             problems.append("'output.dir' must be a directory path string")
         else:
@@ -325,13 +280,11 @@ def parse_config(doc, base_dir: Path) -> RunConfig:
         fmt = output.get("format", "csv")
         if fmt not in ("csv", "json"):
             problems.append(f"'output.format' must be 'csv' or 'json', got {fmt!r}")
-    elif "output" in doc:
-        problems.append("'output' must be an object")
 
     if problems:
         raise ConfigError(problems)
-    return RunConfig(spec=spec, x0=x0, xN=xN, N=N, ctx=ctx, task=task,
-                     outdir=outdir, fmt=fmt, doc=doc)
+    return RunConfig(spec=spec, x0=grid["x0"], xN=grid["xN"], N=grid["N"], ctx=ctx,
+                     task=task, outdir=outdir, fmt=fmt, doc=doc)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +344,7 @@ class Writer:
 # task pipelines
 
 def _field_rows(x, psi):
-    return [
-        (float(xj), p.real, p.imag, abs(p) ** 2)
-        for xj, p in zip(x, psi)
-    ]
+    return [(xj, p.real, p.imag, abs(p) ** 2) for xj, p in zip(x.tolist(), psi.tolist())]
 
 
 def _run_transmit(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer,
@@ -525,8 +475,7 @@ def main(argv=None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    except (SolverError, PotentialEvalError, ExpressionError, ValueError,
-            ArithmeticError) as exc:
+    except (SolverError, ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

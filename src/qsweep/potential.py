@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -253,6 +254,14 @@ def make_expression(pieces) -> PotentialSpec:
     return PotentialSpec(label=label, evaluate=evaluate)
 
 
+# builtin parameters that may also be given as a list of numbers
+_LIST_PARAMS = ("heights", "widths")
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def _take_params(name, params, required, optional=None):
     params = dict(params)
     optional = optional or {}
@@ -262,6 +271,11 @@ def _take_params(name, params, required, optional=None):
     unknown = [p for p in params if p not in required and p not in optional]
     if unknown:
         raise ValueError(f"builtin {name!r} got unknown parameter(s): {', '.join(unknown)}")
+    for key, value in params.items():
+        listed = key in _LIST_PARAMS and isinstance(value, (list, tuple))
+        if not all(map(_is_finite, value if listed else [value])):
+            kind = "a finite number" + (" or a list of them" if key in _LIST_PARAMS else "")
+            raise ValueError(f"builtin {name!r} parameter {key!r} must be {kind}, got {value!r}")
     out = dict(optional)
     out.update(params)
     return out
@@ -277,6 +291,9 @@ def _pair(value):
 
 def make_builtin(name: str, params: dict) -> PotentialSpec:
     """Builtin potential families.
+
+    Every given parameter must be a finite number; `heights` and `widths`
+    may also be lists of them.
 
     lennard_jones(A, B, J=0, mass=None)
         A/x^12 - B/x^6 + J(J+1)/(phi*x)^2; `mass` sets phi and is required
@@ -389,6 +406,9 @@ REFERENCE_DOUBLE_BARRIER = {
 def load_table(rows) -> PotentialSpec:
     """Spec from (x, U) samples: zero-order hold, end values clamped."""
     rows = [(float(x), float(u)) for x, u in rows]
+    for x, u in rows:
+        if not (math.isfinite(x) and math.isfinite(u)):
+            raise ValueError(f"table values must be finite, got x={x!r}, U={u!r}")
     if len(rows) < 2:
         raise ValueError("table needs at least 2 rows")
     xs = [r[0] for r in rows]

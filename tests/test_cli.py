@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -643,3 +645,68 @@ def test_valid_task_configs_parse(table_dir):
 ], ids=["transmit-seven-faults", "packet-seven-faults"])
 def test_every_fault_reported(table_dir, ttype, changes, expected):
     assert sorted(problems_of(bad_doc(ttype, changes), table_dir)) == sorted(expected)
+
+
+# problems for inputs that used to pass validation or crash it
+NEW_PROBLEM_CASES = [
+    ("builtin-param-list", {"potential": builtin("square_barrier", **dict(SQUARE, V0=[0.5]))},
+     ["potential: builtin 'square_barrier' parameter 'V0' must be a finite number, "
+      "got [0.5]"]),
+    ("builtin-param-null", {"potential": builtin("square_barrier", **dict(SQUARE, V0=None))},
+     ["potential: builtin 'square_barrier' parameter 'V0' must be a finite number, got None"]),
+    ("builtin-param-nan", {"potential": builtin("square_barrier", **dict(SQUARE, V0=math.nan))},
+     ["potential: builtin 'square_barrier' parameter 'V0' must be a finite number, got nan"]),
+    ("builtin-param-bool", {"potential": builtin("square_barrier", **dict(SQUARE, V0=True))},
+     ["potential: builtin 'square_barrier' parameter 'V0' must be a finite number, got True"]),
+    ("builtin-heights-object",
+     {"potential": builtin("double_barrier_vwell", **dict(VWELL, heights={"a": 1}))},
+     ["potential: builtin 'double_barrier_vwell' parameter 'heights' must be a finite "
+      "number or a list of them, got {'a': 1}"]),
+    ("table-nan", {"potential": {"table": "nan.txt"}},
+     ["potential: table values must be finite, got x=1.0, U=nan"]),
+]
+
+
+@pytest.mark.parametrize("changes,expected", [case[1:] for case in NEW_PROBLEM_CASES],
+                         ids=[case[0] for case in NEW_PROBLEM_CASES])
+def test_bad_values_are_config_errors(table_dir, capsys, changes, expected):
+    (table_dir / "nan.txt").write_text("0 0\n1 nan\n2 0\n")
+    path = write_config(table_dir, bad_doc("transmit", changes))
+    assert cli.main([str(path), "--validate-only"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {p}" for p in expected]
+
+
+def test_eigen_needs_ascending_energies(tmp_path):
+    doc = bad_doc("eigen", {"task.Emin": -0.1, "task.Emax": -0.5})
+    assert problems_of(doc, tmp_path) == ["'task' must satisfy Emin < Emax, got -0.1 >= -0.5"]
+
+
+@pytest.mark.parametrize("ttype", ["transmit", "fofe"])
+def test_descending_energy_grids_accepted(tmp_path, ttype):
+    doc = bad_doc(ttype, {"task.Emin": VALID_TASKS[ttype]["Emax"],
+                          "task.Emax": VALID_TASKS[ttype]["Emin"]})
+    cli.parse_config(doc, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# docs and shipped configs stay in step with the validator
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    assert cli.main([str(path), "--validate-only", "--quiet"]) == 0
+
+
+def test_readme_task_table_matches_validator():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\nTasks:\n", 1)[1].strip().split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        ttype, params, _ = [c.strip() for c in line.strip().strip("|").split("|")]
+        rows[ttype.strip("`")] = re.findall(r"`(\w+)`", params)
+    assert set(rows) == set(cli.TASKS)
+    for ttype, params in rows.items():
+        assert sorted(params) == sorted(cli.TASKS[ttype]), ttype

@@ -145,6 +145,31 @@ class TestBuiltins:
             make_builtin("square_barrier",
                          {"V0": 1.0, "center": 0.0, "width": 1.0, "hieght": 2})
 
+    @pytest.mark.parametrize("name,params,key", [
+        ("square_barrier", {"V0": [0.5], "center": 0.0, "width": 1.0}, "V0"),
+        ("square_barrier", {"V0": None, "center": 0.0, "width": 1.0}, "V0"),
+        ("square_barrier", {"V0": math.nan, "center": 0.0, "width": 1.0}, "V0"),
+        ("square_barrier", {"V0": True, "center": 0.0, "width": 1.0}, "V0"),
+        ("square_barrier", {"V0": 0.5, "center": "0", "width": 1.0}, "center"),
+        ("coulomb_trunc", {"e2": 1.44, "eps": -math.inf}, "eps"),
+        ("lennard_jones", {"A": 1.0, "B": 1.0, "mass": None}, "mass"),
+        ("double_barrier_vwell", {"heights": {"a": 1}, "widths": [0.5, 2.4], "depth": 0.25},
+         "heights"),
+        ("double_barrier_vwell", {"heights": [0.5, None], "widths": [0.5, 2.4], "depth": 0.25},
+         "heights"),
+        ("double_barrier_vwell", {"heights": 0.5, "widths": [0.5, math.nan], "depth": 0.25},
+         "widths"),
+        ("double_barrier_vwell", {"heights": 0.5, "widths": [0.5, 2.4], "depth": [0.25]},
+         "depth"),
+    ])
+    def test_params_must_be_finite_numbers(self, name, params, key):
+        with pytest.raises(ValueError, match=f"builtin '{name}' parameter '{key}' must be"):
+            make_builtin(name, params)
+
+    def test_integer_params_accepted(self):
+        spec = make_builtin("square_barrier", {"V0": 1, "center": 0, "width": 2})
+        assert spec.evaluate(0.5) == 1.0
+
 
 class TestDiscretize:
     def test_molecular_grid_spacing(self):
@@ -248,4 +273,20 @@ class TestTable:
         path = tmp_path / "t.txt"
         path.write_text("0.0 1.0 7.0\n")
         with pytest.raises(ValueError, match="two columns"):
+            read_table(path)
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, math.nan), (1.0, 2.0)],
+        [(0.0, 1.0), (1.0, math.inf)],
+        [(-math.inf, 1.0), (1.0, 2.0)],
+        [(0.0, 1.0), (math.nan, 2.0)],
+    ])
+    def test_rejects_non_finite_values(self, rows):
+        with pytest.raises(ValueError, match="table values must be finite"):
+            load_table(rows)
+
+    def test_read_table_rejects_nan_line(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("0.0 1.0\n1.0 nan\n2.0 0.0\n")
+        with pytest.raises(ValueError, match="finite"):
             read_table(path)
