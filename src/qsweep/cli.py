@@ -33,6 +33,7 @@ from .errors import ConfigError, SolverError
 from .potential import (
     DiscretizedPotential,
     PotentialSpec,
+    _is_finite,
     discretize,
     make_builtin,
     make_expression,
@@ -82,10 +83,6 @@ SECTIONS = {"potential": ("builtin", "expression", "table"), "grid": GRID,
 PIECE = ("xmin", "xmax", "expr")
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def _check_keys(section: dict, where: str, allowed, problems: list):
     for key in section:
         if key not in allowed:
@@ -100,14 +97,14 @@ def _value(section: dict, where: str, key: str, rule, problems: list, optional=F
         return None
     v = section[key]
     if rule == "pair":
-        if isinstance(v, list) and len(v) == 2 and all(map(_is_num, v)) and v[0] < v[1]:
+        if isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v)) and v[0] < v[1]:
             return (float(v[0]), float(v[1]))
         problems.append(f"'{where}.{key}' must be [a, b] with a < b, got {v!r}")
     elif isinstance(rule, int):
         if isinstance(v, int) and not isinstance(v, bool) and v >= rule:
             return v
         problems.append(f"'{where}.{key}' must be an integer >= {rule}, got {v!r}")
-    elif not _is_num(v):
+    elif not _is_finite(v):
         problems.append(f"'{where}.{key}' must be a finite number, got {v!r}")
     elif rule == "positive" and not v > 0:
         problems.append(f"'{where}.{key}' must be positive, got {v!r}")
@@ -203,7 +200,7 @@ def _to_bound(v, where: str, problems: list):
         return math.inf
     if v == "-inf":
         return -math.inf
-    if _is_num(v):
+    if _is_finite(v):
         return float(v)
     problems.append(f"'{where}' must be a number or 'inf'/'-inf', got {v!r}")
     return None
@@ -221,7 +218,7 @@ def _parse_task(section: dict, problems: list) -> dict | None:
         _ascending("task", "Emin", "Emax", task, problems)
     if ttype == "wavefunc":
         energies = section.get("energies")
-        if not isinstance(energies, list) or not energies or not all(map(_is_num, energies)):
+        if not isinstance(energies, list) or not energies or not all(map(_is_finite, energies)):
             problems.append("'task.energies' must be a nonempty list of numbers")
         else:
             task["energies"] = [float(e) for e in energies]
@@ -231,7 +228,7 @@ def _parse_task(section: dict, problems: list) -> dict | None:
         problems.append("'task' must contain exactly one of 'dE' or 'sigma_x'")
     times = section.get("times")
     if not isinstance(times, list) or not times or not all(
-        _is_num(t) and t >= 0 for t in times
+        _is_finite(t) and t >= 0 for t in times
     ):
         problems.append("'task.times' must be a nonempty list of times >= 0 (fs)")
     else:
@@ -327,7 +324,11 @@ class Writer:
             lines = [f"# {key}: {json.dumps(val, sort_keys=True) if isinstance(val, dict) else val}"
                      for key, val in meta.items()]
             lines.append(",".join(columns))
-            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+            if {type(v) for row in rows for v in row} <= {float}:  # "%.12g" % v is _fmt(v)
+                template = ",".join(["%.12g"] * len(columns))
+                lines.extend(template % tuple(row) for row in rows)
+            else:
+                lines.extend(",".join(_fmt(v) for v in row) for row in rows)
             _atomic_write(path, "\n".join(lines) + "\n")
         else:
             path = self.cfg.outdir / f"{name}.json"
@@ -400,14 +401,9 @@ def _run_packet(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
     packet = design_packet(task["E0"], sigma_x=task["sigma_x"], dE=task["dE"],
                            n_modes=task["N_E"], x0=task["x0"], ctx=cfg.ctx)
     cache = precompute_modes(dp, packet, cfg.ctx)
-    if task["samples"] is not None:
-        lo, hi, n = task["samples"]
-        xs = np.linspace(lo, hi, n)
-    else:
-        xs = dp.x
+    xs = dp.x if task["samples"] is None else np.linspace(*task["samples"])
     summary = []
-    for t in task["times"]:
-        field = evolve(packet, cache, t, xs)
+    for t, field in zip(task["times"], evolve(packet, cache, task["times"], xs)):
         writer.emit(f"packet_t{t:g}", ["x_nm", "re_psi", "im_psi", "abs2"],
                     _field_rows(field.x, field.psi))
         total = region_probability(field, float(xs[0]) - 1e-9, float(xs[-1]) + 1e-9)

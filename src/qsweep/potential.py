@@ -13,6 +13,7 @@ import bisect
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -259,7 +260,8 @@ _LIST_PARAMS = ("heights", "widths")
 
 
 def _is_finite(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    # abs(v) <= max compares an int exactly, where isfinite(v) overflows
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _take_params(name, params, required, optional=None):

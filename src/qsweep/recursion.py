@@ -25,10 +25,11 @@ That is accepted: a transmission probability then reports as 0.
 
 The right recursion is the left one on the mirrored grid (k and dx
 reversed), so one step update serves both directions.  The curve functions
-use the energy-batched sweeps at the end of this module: the recursion is
-sequential in the step but independent across energies, so they carry (M,)
-vectors, one entry per energy, through the step loop.  Single-energy
-callers keep the scalar loop, which is faster for one energy.
+and the packet modes use the energy-batched sweeps at the end of this
+module: the recursion is sequential in the step but independent across
+energies, so they carry (M,) vectors, one entry per energy, through the
+step loop.  Single-energy callers keep the scalar loop, which is faster
+for one energy.
 
 A denominator below _SINGULARITY_FLOOR in magnitude, or NaN, is singular.
 The scalar loop raises NumericalSingularityError naming the energy and the
@@ -191,7 +192,7 @@ def _block_rows(n_nodes: int) -> int:
     return math.isqrt(n_nodes - 1) + 1
 
 
-def _steps(k, jdx, r, failed, out=None, t=None):
+def _steps(k, jdx, r, failed, out=None, t=None, T=None):
     """Carry the left recursion through the steps of one block.
 
     Rows of k are consecutive nodes and jdx holds i dx of the same nodes.
@@ -202,8 +203,9 @@ def _steps(k, jdx, r, failed, out=None, t=None):
     the mirrored grid.  failed, a bool (M,) array, is set at the energies
     where a step's denominator was singular (skipped when failed is None);
     which step it was is left to the single-energy sweep.  R after step p
-    goes to out[p] when out is given; t, when given, is multiplied in
-    place by every T_j.  Returns R at the first row.
+    goes to out[p] when out is given, and T after step p to T[p] when T is
+    given; t, when given, is multiplied in place by every T_j.  Returns R
+    at the first row.
     """
     ok = None if failed is None else np.empty((len(k) - 1, k.shape[1]), dtype=bool)
     for p in range(len(k) - 2, -1, -1):
@@ -222,11 +224,14 @@ def _steps(k, jdx, r, failed, out=None, t=None):
         r /= den
         r *= ph
         r *= ph
-        if t is not None:
-            tj = ka + ka
+        if t is not None or T is not None:
+            tj = np.add(ka, ka, out=None if T is None else T[p])
             tj /= den
-            t *= tj
-            t *= ph
+            if t is not None:
+                t *= tj
+                t *= ph
+            if T is not None:
+                tj *= ph
     if ok is not None:
         failed |= ~ok.all(axis=0)
     return r

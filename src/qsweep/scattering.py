@@ -80,9 +80,10 @@ def transmission_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext) ->
 def field_sampler(dp: DiscretizedPotential, xs):
     """Check and locate sample positions xs on the grid, once.
 
-    Returns (xs as an array, field), where field(sweep) evaluates a swept
-    solution at xs: within step j it is A_j e^{ik_j(x-x_j)} +
-    B_j e^{-ik_j(x-x_j)}, at the nodes themselves A_j + B_j.
+    Returns (xs as an array, field), where field(sol, rows) evaluates a
+    solution at xs[rows] (default all): A_j e^{ik_j(x-x_j)} +
+    B_j e^{-ik_j(x-x_j)} within step j.  sol's k, A and B are (N+1,)
+    (a LeftSweep) or (N+1, M) arrays (a ModeCache, giving (rows, M)).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -95,9 +96,12 @@ def field_sampler(dp: DiscretizedPotential, xs):
     np.clip(j, 0, dp.n_steps, out=j)
     rel = xs - dp.x[j]
 
-    def field(sweep: LeftSweep) -> np.ndarray:
-        kj = sweep.k[j]
-        return sweep.A[j] * np.exp(1j * kj * rel) + sweep.B[j] * np.exp(-1j * kj * rel)
+    def field(sol, rows=...) -> np.ndarray:
+        jr, dr = j[rows], rel[rows]
+        if sol.k.ndim == 2:
+            dr = dr[:, None]
+        kj = sol.k[jr]
+        return sol.A[jr] * np.exp(1j * kj * dr) + sol.B[jr] * np.exp(-1j * kj * dr)
 
     return xs, field
 

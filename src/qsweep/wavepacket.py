@@ -1,8 +1,8 @@
 """Gaussian wave packets built from cached stationary solutions.
 
 A packet is a superposition of left-incidence stationary fields on an
-equally spaced wavevector grid.  Each mode is solved once; evolution in
-time is then pure phase accumulation:
+equally spaced wavevector grid.  All modes are solved once, in one
+batched sweep; evolution in time is then pure phase accumulation:
 
     Psi(x, t) = (dk/sqrt(2 pi)) sum_n c_n Psi(x, E_n) e^{-i E_n t / hbar}
 
@@ -13,17 +13,16 @@ superposition is centered at x0 rather than at the left grid edge.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, HBAR, PLANCK_H, ParticleContext
+from .constants import C_LIGHT, HBAR, PLANCK_H, ParticleContext, step_wavevectors
 from .errors import InvalidDesignError
 from .potential import DiscretizedPotential
-from .recursion import LeftSweep, left_sweep
+from .recursion import _BLOCK_VALUES, _steps, left_sweep
 from .scattering import WaveField, field_sampler
 
 # The Gaussian coefficient envelope is negligible beyond this many widths.
@@ -53,10 +52,13 @@ class WavePacket:
 
 @dataclass(frozen=True)
 class ModeCache:
-    """One left sweep per packet mode, all on the same grid."""
+    """Every packet mode's left-incidence solution on the same grid: k, A
+    and B as in LeftSweep, as (N+1, M) arrays with one column per mode."""
 
     dp: DiscretizedPotential
-    sweeps: tuple[LeftSweep, ...]
+    k: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
 
 
 def design_packet(E0: float, *, sigma_x: float | None = None, dE: float | None = None,
@@ -115,38 +117,59 @@ def group_velocity(packet: WavePacket, ctx: ParticleContext) -> float:
     return HBAR * C_LIGHT**2 * packet.kappa0 / ctx.mass
 
 
+# A mode that turns inf or nan is flagged and rerun, so numpy need not warn.
+@np.errstate(divide="ignore", invalid="ignore")
 def precompute_modes(dp: DiscretizedPotential, packet: WavePacket,
                      ctx: ParticleContext) -> ModeCache:
-    """Solve every packet mode once; evolution reuses these sweeps."""
-    sweeps = tuple(left_sweep(dp, float(E), ctx) for E in packet.E)
-    return ModeCache(dp=dp, sweeps=sweeps)
+    """Solve all packet modes in one sweep over the (N+1, M) wavevector
+    block: R_{j+1} goes into B and T_j into A, then A = cumprod(T) and
+    B = A R_{j+1} are formed in place.  Modes that are non-finite or met a
+    singular denominator are rerun through left_sweep, which raises what a
+    loop over the modes would."""
+    E = packet.E
+    k = step_wavevectors(E, dp.u[:, None], ctx.phi)
+    A, B = np.empty((2, *k.shape), dtype=complex)
+    A[0], B[-1] = 1.0, 0.0
+    failed = np.zeros(len(E), dtype=bool)
+    _steps(k, 1j * dp.dx, B[-1], failed, out=B[:-1], T=A[1:])
+    np.multiply.accumulate(A, axis=0, out=A)
+    B *= A
+    for m in np.flatnonzero(failed | ~np.isfinite(E)):
+        sweep = left_sweep(dp, float(E[m]), ctx)
+        k[:, m], A[:, m], B[:, m] = sweep.k, sweep.A, sweep.B
+    return ModeCache(dp=dp, k=k, A=A, B=B)
 
 
-def evolve(packet: WavePacket, cache: ModeCache, t: float, xs):
-    """Superpose the cached modes at time t over sample positions xs.
+def evolve(packet: WavePacket, cache: ModeCache, t, xs):
+    """Superpose the cached modes over sample positions xs at time t, a
+    float (giving a WaveField) or a sequence (giving a list of them).
 
-    Positions must lie inside the cached grid and t must be finite and
-    nonnegative.  Times beyond the packet's t_max only trigger a warning:
-    adjacent-mode phases have then wrapped and the superposition gradually
-    loses meaning rather than failing.
+    Every time must be finite and nonnegative and every position inside
+    the grid; all are checked before any work.  Each time beyond t_max
+    only warns: adjacent-mode phases have then wrapped and the
+    superposition gradually loses meaning rather than failing.  The
+    phases form a (times, modes) matrix W, and each chunk of samples
+    takes one W @ block.T with its (chunk, modes) field block.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"need a finite t >= 0, got {t!r}")
-    if t > packet.t_max:
-        warnings.warn(
-            f"t={t!r} fs exceeds the packet validity bound t_max={packet.t_max:.4g} fs",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    xs, field = field_sampler(cache.dp, xs)
-    total = np.zeros(xs.shape, dtype=complex)
+    times = np.asarray(t, dtype=float)
+    tl = times.ravel().tolist()
+    if bad := [ti for ti in tl if not 0.0 <= ti < math.inf]:
+        raise ValueError(f"need a finite t >= 0, got {bad[0]!r}")
+    for ti in tl:
+        if ti > packet.t_max:
+            warnings.warn(f"t={ti!r} fs exceeds the packet validity bound "
+                          f"t_max={packet.t_max:.4g} fs", RuntimeWarning, stacklevel=2)
+    xs, field = field_sampler(cache.dp, np.ravel(xs))
     shift = packet.x0 - float(cache.dp.x[0])
-    for cn, kap, En, sw in zip(packet.c, packet.kappa, packet.E, cache.sweeps):
-        phase = cmath.exp(-1j * (En * t / HBAR + kap * shift))
-        total += (cn * phase) * field(sw)
-    total *= packet.dkappa / math.sqrt(2.0 * math.pi)
+    W = np.exp(-1j * (np.outer(tl, packet.E) / HBAR + packet.kappa * shift))
+    W *= packet.c * (packet.dkappa / math.sqrt(2.0 * math.pi))
+    psi = np.empty((len(tl), len(xs)), dtype=complex)
+    chunk = max(1, 16 * _BLOCK_VALUES // len(packet.c))
+    for lo in range(0, len(xs), chunk):  # ~1 MiB field blocks keep memory flat
+        psi[:, lo:lo + chunk] = W @ field(cache, slice(lo, lo + chunk)).T
     central = float(packet.kappa0**2 * packet.E[0] / packet.kappa[0] ** 2)
-    return WaveField(x=xs, psi=total, E=central)
+    fields = [WaveField(x=xs, psi=p, E=central) for p in psi]
+    return fields[0] if times.ndim == 0 else fields
 
 
 def region_probability(field, a: float, b: float) -> float:

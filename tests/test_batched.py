@@ -273,13 +273,68 @@ def test_nan_denominator_is_singular(electron):
     # joins one of them to a finite wavevector has a NaN denominator.
     dp = discretize(load_table([(-1, 0), (0, -1.7e308), (0.5, 0)]), -1, 1, 8)
     E = 1e308
+    packet = design_packet(0.3, dE=0.05, n_modes=3, x0=-1.0, ctx=electron)
+    packet = dataclasses.replace(packet, E=np.array([0.3, E]))
     for fn in (lambda: transmission(left_sweep(dp, E, electron)),
                lambda: transmission_curve(dp, [E], electron),
                lambda: mismatch(dp, E, electron),
-               lambda: mismatch_curve(dp, [E], electron)):
+               lambda: mismatch_curve(dp, [E], electron),
+               lambda: precompute_modes(dp, packet, electron)):
         with pytest.raises(NumericalSingularityError) as err:
             fn()
         assert (err.value.energy, err.value.step) == (E, 6)
+
+
+# ---------------------------------------------------------------------------
+# The packet mode cache against one left sweep per mode
+
+def per_mode_cache(dp, E, ctx):
+    """k, A and B of one left_sweep per mode energy, one column per mode."""
+    sweeps = [left_sweep(dp, float(e), ctx) for e in E]
+    return [np.stack([getattr(sw, name) for sw in sweeps], axis=1) for name in "kAB"]
+
+
+@pytest.mark.parametrize("spec, grid, E0, on_step", [
+    # a mode on the 0.5 eV barrier tops, where the degeneracy nudge applies
+    (make_builtin("double_barrier_vwell", {"heights": 0.5, "widths": [0.5, 2.4],
+                                           "depth": 0.25}), (-5, 5, 500), 0.5, 0.5),
+    # 100 nm of a 5 eV barrier: the amplitudes past it underflow to 0
+    (make_builtin("square_barrier", {"V0": 5.0, "center": 0.0, "width": 100.0}),
+     (-60, 60, 1200), 1.0, None),
+])
+def test_mode_cache_matches_per_mode_sweeps(spec, grid, E0, on_step, electron):
+    dp = discretize(spec, *grid)
+    packet = design_packet(E0, dE=0.1 * E0, n_modes=33, x0=-25.0, ctx=electron)
+    if on_step is not None:
+        packet = dataclasses.replace(packet, E=np.where(np.arange(33) == 16, on_step, packet.E))
+    cache = precompute_modes(dp, packet, electron)
+    k, A, B = per_mode_cache(dp, packet.E, electron)
+    assert np.array_equal(cache.k, k)
+    # Relative to each mode's largest amplitude, since B_j = A_j R_{j+1}
+    # has near-zero entries.  A mode on a step value keeps only the digits
+    # its nudged wavevector leaves (test_degenerate_energies_...).
+    tol = np.where(np.isin(packet.E, dp.u), 1e-7, 1e-12)
+    for got, ref in ((cache.A, A), (cache.B, B)):
+        assert np.all(np.abs(got - ref).max(axis=0) <= tol * np.abs(ref).max(axis=0))
+    if on_step is None:
+        assert np.array_equal(cache.A == 0, A == 0) and (A[-1] == 0).all()
+
+
+def test_singular_mode_raises_what_a_loop_over_the_modes_raises(electron, monkeypatch):
+    dp = marked_potential(7)
+    packet = design_packet(0.6, dE=0.3, n_modes=5, x0=-1.0, ctx=electron)
+    patched = cancelling_wavevectors(packet.E[[3, 1]])
+    monkeypatch.setattr(recursion, "step_wavevectors", patched)
+    monkeypatch.setattr("qsweep.wavepacket.step_wavevectors", patched)
+    expected = first_scalar_error(lambda E: left_sweep(dp, E, electron), packet.E)
+    assert expected.energy == packet.E[1]
+    with pytest.raises(NumericalSingularityError) as err:
+        precompute_modes(dp, packet, electron)
+    assert (err.value.energy, err.value.step) == (expected.energy, expected.step)
+    for E, error in (([packet.E[1], math.nan], NumericalSingularityError),
+                     ([math.nan, packet.E[1]], InvalidEnergyError)):
+        with pytest.raises(error):
+            precompute_modes(dp, dataclasses.replace(packet, E=np.array(E)), electron)
 
 
 class TestNonFiniteEnergies:

@@ -6,7 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsweep import cli, oracle
+from qsweep import (
+    HBAR,
+    cli,
+    design_packet,
+    discretize,
+    left_sweep,
+    oracle,
+    sample_wavefunction,
+)
 from qsweep.errors import ConfigError
 
 
@@ -247,6 +255,60 @@ class TestPacketTask:
         assert cli.main([str(write_config(tmp_path, doc)), "--quiet"]) == 0
         _, _, rows = read_csv(out / "packet_t0.csv")
         assert len(rows) == 33
+
+
+class TestPacketOutput:
+    """The packet rows against a loop over the modes, and the CSV writer's
+    fast path against the per-value join."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        doc = json.loads((REPO / "configs" / "packet_double_barrier.json").read_text())
+        dirs = []
+        for name in ("a", "b"):
+            d = tmp_path_factory.mktemp(name)
+            assert cli.run(write_config(d, doc), quiet=True) == 0
+            dirs.append(d / doc["output"]["dir"])
+        return doc, dirs
+
+    def test_reruns_are_byte_identical(self, runs):
+        _, (a, b) = runs
+        names = sorted(p.name for p in a.glob("packet_*.csv"))
+        assert len(names) == 6 and names == sorted(p.name for p in b.glob("packet_*.csv"))
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_psi_matches_a_loop_over_the_modes(self, runs):
+        doc, (out, _) = runs
+        cfg = cli.parse_config(doc, REPO / "configs")
+        dp = discretize(cfg.spec, cfg.x0, cfg.xN, cfg.N)
+        task = cfg.task
+        packet = design_packet(task["E0"], dE=task["dE"], n_modes=task["N_E"],
+                               x0=task["x0"], ctx=cfg.ctx)
+        xs = np.linspace(*task["samples"])
+        modes = np.array([sample_wavefunction(left_sweep(dp, float(E), cfg.ctx), dp, xs).psi
+                          for E in packet.E])
+        shift = packet.x0 - dp.x[0]
+        for t in task["times"]:
+            phase = np.exp(-1j * (packet.E * t / HBAR + packet.kappa * shift))
+            ref = (packet.c * phase) @ modes * (packet.dkappa / math.sqrt(2.0 * math.pi))
+            _, _, rows = read_csv(out / f"packet_t{t:g}.csv")
+            rows = np.array(rows)
+            assert rows[:, 0] == pytest.approx(xs, rel=1e-11, abs=1e-12)
+            psi = rows[:, 1] + 1j * rows[:, 2]
+            assert np.abs(psi - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_csv_fast_path_writes_what_the_join_writes(self, tmp_path):
+        cfg = cli.parse_config(bad_doc("transmit", {}), tmp_path)
+        cfg.outdir = tmp_path
+        writer = cli.Writer(cfg, quiet=True)
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -123456.789]
+        tables = {"floats": [(v, -v, v * 3.0) for v in special],
+                  "with_int": [(i + 1, v, 2.0 * v) for i, v in enumerate(special)]}
+        for name, rows in tables.items():
+            writer.emit(name, ["a", "b", "c"], rows)
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            assert lines[-len(rows):] == [",".join(cli._fmt(v) for v in row) for row in rows]
 
 
 class TestTablePotential:
@@ -648,7 +710,14 @@ def test_every_fault_reported(table_dir, ttype, changes, expected):
 
 
 # problems for inputs that used to pass validation or crash it
+BEYOND_FLOAT = int("1" * 400)  # a JSON integer that no float can hold
 NEW_PROBLEM_CASES = [
+    ("grid-x0-int-beyond-float", {"grid.x0": -BEYOND_FLOAT},
+     [f"'grid.x0' must be a finite number, got -{BEYOND_FLOAT}"]),
+    ("builtin-param-int-beyond-float",
+     {"potential": builtin("square_barrier", **dict(SQUARE, V0=BEYOND_FLOAT))},
+     ["potential: builtin 'square_barrier' parameter 'V0' must be a finite number, "
+      f"got {BEYOND_FLOAT}"]),
     ("builtin-param-list", {"potential": builtin("square_barrier", **dict(SQUARE, V0=[0.5]))},
      ["potential: builtin 'square_barrier' parameter 'V0' must be a finite number, "
       "got [0.5]"]),

@@ -161,6 +161,7 @@ class TestBuiltins:
          "widths"),
         ("double_barrier_vwell", {"heights": 0.5, "widths": [0.5, 2.4], "depth": [0.25]},
          "depth"),
+        ("square_barrier", {"V0": 0.5, "center": 10**400, "width": 1.0}, "center"),
     ])
     def test_params_must_be_finite_numbers(self, name, params, key):
         with pytest.raises(ValueError, match=f"builtin '{name}' parameter '{key}' must be"):

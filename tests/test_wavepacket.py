@@ -99,30 +99,32 @@ class TestDesign:
 class TestModeCache:
     def test_free_cache_has_no_reflections(self, free_run):
         _, cache, _ = free_run
-        assert all(np.all(sw.R == 0) for sw in cache.sweeps)
+        assert np.all(cache.B == 0)  # B_j = A_j R_{j+1}
 
     def test_cache_size(self, free_run, narrow_band_packet):
         dp, cache, _ = free_run
-        assert len(cache.sweeps) == len(narrow_band_packet.kappa)
-        assert all(len(sw.A) == dp.n_steps + 1 for sw in cache.sweeps)
+        shape = (dp.n_steps + 1, len(narrow_band_packet.kappa))
+        assert cache.k.shape == cache.A.shape == cache.B.shape == shape
 
     def test_evolve_reuses_cache(self, electron, monkeypatch):
         calls = {"n": 0}
-        real = wp.left_sweep
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls["n"] += 1
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(wp, "left_sweep", counting)
+        for name in ("left_sweep", "_steps", "step_wavevectors"):
+            monkeypatch.setattr(wp, name, counting(getattr(wp, name)))
         dp = discretize(make_expression("0"), -50, 50, 200)
         pk = design_packet(0.5, sigma_x=5.0, n_modes=21, x0=0.0, ctx=electron)
         cache = precompute_modes(dp, pk, electron)
-        assert calls["n"] == 21
+        assert calls["n"] == 2  # one wavevector block, one batched sweep
         xs = np.linspace(-40, 40, 100)
         evolve(pk, cache, 0.0, xs)
-        evolve(pk, cache, 10.0, xs)
-        assert calls["n"] == 21  # no recomputation during evolution
+        evolve(pk, cache, [10.0, 20.0], xs)
+        assert calls["n"] == 2  # no recomputation during evolution
 
 
 class TestEvolve:
@@ -199,6 +201,44 @@ class TestEvolve:
         _, cache, _ = free_run
         with pytest.raises(ValueError):
             evolve(narrow_band_packet, cache, 0.0, [130.0])
+
+
+class TestEvolveTimes:
+    def test_sequence_matches_single_times(self, free_run, narrow_band_packet):
+        _, cache, xs = free_run
+        times = [0.0, 60.0, 120.0, 60.0]
+        fields = evolve(narrow_band_packet, cache, times, xs)
+        assert isinstance(fields, list) and len(fields) == len(times)
+        for t, field in zip(times, fields):
+            one = evolve(narrow_band_packet, cache, t, xs)
+            assert np.array_equal(field.x, one.x) and field.E == one.E
+            scale = np.abs(one.psi).max()
+            assert np.abs(field.psi - one.psi).max() <= 1e-13 * scale
+
+    def test_one_warning_per_time_beyond_t_max(self, free_run, narrow_band_packet):
+        _, cache, xs = free_run
+        late = [narrow_band_packet.t_max * 1.5, narrow_band_packet.t_max * 2.0]
+        with pytest.warns(RuntimeWarning) as record:
+            evolve(narrow_band_packet, cache, [0.0, late[0], 10.0, late[1]], xs[:50])
+        assert [str(w.message).split(" fs")[0] for w in record] == [f"t={t!r}" for t in late]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_bad_time_anywhere_fails_before_any_work(self, free_run, narrow_band_packet,
+                                                     monkeypatch, bad):
+        _, cache, xs = free_run
+
+        def no_work(*args):
+            raise AssertionError("fields formed before the times were checked")
+
+        monkeypatch.setattr(wp, "field_sampler", no_work)
+        late = narrow_band_packet.t_max * 2.0  # would warn, as an error, if checked first
+        for times in ([bad, 0.0], [0.0, late, bad], np.array([late, 5.0, bad])):
+            with pytest.raises(ValueError, match="finite t >= 0"):
+                evolve(narrow_band_packet, cache, times, xs)
+
+    def test_empty_sequence(self, free_run, narrow_band_packet):
+        _, cache, xs = free_run
+        assert evolve(narrow_band_packet, cache, [], xs) == []
 
 
 class TestRegionProbability:
