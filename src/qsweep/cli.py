@@ -287,12 +287,6 @@ def parse_config(doc, base_dir: Path) -> RunConfig:
 # ---------------------------------------------------------------------------
 # output writers
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
     tmp.write_text(text, encoding="utf-8")
@@ -310,8 +304,8 @@ class Writer:
         return {
             "engine": f"qsweep {__version__}",
             "config": self.cfg.doc,
-            "grid": f"x0={_fmt(self.cfg.x0)} xN={_fmt(self.cfg.xN)} N={self.cfg.N} dx={_fmt(dx)}",
-            "particle": f"mass={_fmt(self.cfg.ctx.mass)} phi={_fmt(self.cfg.ctx.phi)}",
+            "grid": f"x0={self.cfg.x0:.12g} xN={self.cfg.xN:.12g} N={self.cfg.N} dx={dx:.12g}",
+            "particle": f"mass={self.cfg.ctx.mass:.12g} phi={self.cfg.ctx.phi:.12g}",
             "potential": self.cfg.spec.label,
         }
 
@@ -324,11 +318,10 @@ class Writer:
             lines = [f"# {key}: {json.dumps(val, sort_keys=True) if isinstance(val, dict) else val}"
                      for key, val in meta.items()]
             lines.append(",".join(columns))
-            if {type(v) for row in rows for v in row} <= {float}:  # "%.12g" % v is _fmt(v)
-                template = ",".join(["%.12g"] * len(columns))
-                lines.extend(template % tuple(row) for row in rows)
-            else:
-                lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+            # every value is a float but the eigenvalue index, a small int that
+            # "%.12g" writes as str() does
+            template = ",".join(["%.12g"] * len(columns))
+            lines.extend(template % tuple(row) for row in rows)
             _atomic_write(path, "\n".join(lines) + "\n")
         else:
             path = self.cfg.outdir / f"{name}.json"
@@ -343,6 +336,11 @@ class Writer:
 
 # ---------------------------------------------------------------------------
 # task pipelines
+
+# Packet field values held at once (16 MiB): evolve takes the times in groups
+# this large, so memory stays flat; each call rebuilds the mode field blocks.
+_FIELD_VALUES = 1 << 20
+
 
 def _field_rows(x, psi):
     return [(xj, p.real, p.imag, abs(p) ** 2) for xj, p in zip(x.tolist(), psi.tolist())]
@@ -402,15 +400,18 @@ def _run_packet(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
                            n_modes=task["N_E"], x0=task["x0"], ctx=cfg.ctx)
     cache = precompute_modes(dp, packet, cfg.ctx)
     xs = dp.x if task["samples"] is None else np.linspace(*task["samples"])
+    times, per_call = task["times"], max(1, _FIELD_VALUES // len(xs))
     summary = []
-    for t, field in zip(task["times"], evolve(packet, cache, task["times"], xs)):
-        writer.emit(f"packet_t{t:g}", ["x_nm", "re_psi", "im_psi", "abs2"],
-                    _field_rows(field.x, field.psi))
-        total = region_probability(field, float(xs[0]) - 1e-9, float(xs[-1]) + 1e-9)
-        row = [t, total]
-        if task["region"] is not None:
-            row.append(region_probability(field, *task["region"]))
-        summary.append(tuple(row))
+    for lo in range(0, len(times), per_call):
+        group = times[lo:lo + per_call]
+        for t, field in zip(group, evolve(packet, cache, group, xs)):
+            writer.emit(f"packet_t{t:g}", ["x_nm", "re_psi", "im_psi", "abs2"],
+                        _field_rows(field.x, field.psi))
+            total = region_probability(field, float(xs[0]) - 1e-9, float(xs[-1]) + 1e-9)
+            row = [t, total]
+            if task["region"] is not None:
+                row.append(region_probability(field, *task["region"]))
+            summary.append(tuple(row))
     columns = ["t_fs", "total_prob"] + (["region_prob"] if task["region"] else [])
     writer.emit("packet_summary", columns, summary)
 

@@ -25,11 +25,10 @@ That is accepted: a transmission probability then reports as 0.
 
 The right recursion is the left one on the mirrored grid (k and dx
 reversed), so one step update serves both directions.  The curve functions
-and the packet modes use the energy-batched sweeps at the end of this
-module: the recursion is sequential in the step but independent across
-energies, so they carry (M,) vectors, one entry per energy, through the
-step loop.  Single-energy callers keep the scalar loop, which is faster
-for one energy.
+and packet modes use the energy-batched sweeps at the end of this module:
+the recursion is sequential in the step but independent across energies,
+so they carry (M,) vectors, one entry per energy, through the step loop.
+Single-energy callers keep the scalar loop, faster for one energy.
 
 A denominator below _SINGULARITY_FLOOR in magnitude, or NaN, is singular.
 The scalar loop raises NumericalSingularityError naming the energy and the
@@ -202,10 +201,9 @@ def _steps(k, jdx, r, failed, out=None, t=None, T=None):
     order run the right recursion instead: Rbar is the left recursion on
     the mirrored grid.  failed, a bool (M,) array, is set at the energies
     where a step's denominator was singular (skipped when failed is None);
-    which step it was is left to the single-energy sweep.  R after step p
-    goes to out[p] when out is given, and T after step p to T[p] when T is
-    given; t, when given, is multiplied in place by every T_j.  Returns R
-    at the first row.
+    which step it was is left to the single-energy sweep.  R and T after
+    step p go to out[p] and T[p] when given; t, when given, is multiplied
+    in place by every T_j.  Returns R at the first row.
     """
     ok = None if failed is None else np.empty((len(k) - 1, k.shape[1]), dtype=bool)
     for p in range(len(k) - 2, -1, -1):

@@ -88,7 +88,7 @@ def field_sampler(dp: DiscretizedPotential, xs):
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise ValueError("no sample positions given")
-    if xs.min() < dp.x[0] or xs.max() > dp.x[-1]:
+    if not (xs.min() >= dp.x[0] and xs.max() <= dp.x[-1]):  # NaN fails too
         raise ValueError(
             f"samples must lie in [{dp.x[0]!r}, {dp.x[-1]!r}] nm"
         )

@@ -141,8 +141,8 @@ def precompute_modes(dp: DiscretizedPotential, packet: WavePacket,
 
 
 def evolve(packet: WavePacket, cache: ModeCache, t, xs):
-    """Superpose the cached modes over sample positions xs at time t, a
-    float (giving a WaveField) or a sequence (giving a list of them).
+    """Superpose the cached modes at time t, a float (giving a WaveField) or
+    a sequence (giving a list of them), over sample positions xs (any shape).
 
     Every time must be finite and nonnegative and every position inside
     the grid; all are checked before any work.  Each time beyond t_max
@@ -159,6 +159,7 @@ def evolve(packet: WavePacket, cache: ModeCache, t, xs):
         if ti > packet.t_max:
             warnings.warn(f"t={ti!r} fs exceeds the packet validity bound "
                           f"t_max={packet.t_max:.4g} fs", RuntimeWarning, stacklevel=2)
+    shape = np.shape(xs)
     xs, field = field_sampler(cache.dp, np.ravel(xs))
     shift = packet.x0 - float(cache.dp.x[0])
     W = np.exp(-1j * (np.outer(tl, packet.E) / HBAR + packet.kappa * shift))
@@ -168,7 +169,7 @@ def evolve(packet: WavePacket, cache: ModeCache, t, xs):
     for lo in range(0, len(xs), chunk):  # ~1 MiB field blocks keep memory flat
         psi[:, lo:lo + chunk] = W @ field(cache, slice(lo, lo + chunk)).T
     central = float(packet.kappa0**2 * packet.E[0] / packet.kappa[0] ** 2)
-    fields = [WaveField(x=xs, psi=p, E=central) for p in psi]
+    fields = [WaveField(x=xs.reshape(shape), psi=p.reshape(shape), E=central) for p in psi]
     return fields[0] if times.ndim == 0 else fields
 
 

@@ -11,6 +11,7 @@ from qsweep import (
     cli,
     design_packet,
     discretize,
+    evolve,
     left_sweep,
     oracle,
     sample_wavefunction,
@@ -298,17 +299,38 @@ class TestPacketOutput:
             psi = rows[:, 1] + 1j * rows[:, 2]
             assert np.abs(psi - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_csv_fast_path_writes_what_the_join_writes(self, tmp_path):
+    def test_times_split_across_evolve_calls(self, runs, tmp_path, monkeypatch):
+        doc, (whole, _) = runs
+        calls = []
+
+        def counting(packet, cache, times, xs):
+            calls.append(len(times))
+            return evolve(packet, cache, times, xs)
+
+        monkeypatch.setattr(cli, "evolve", counting)
+        monkeypatch.setattr(cli, "_FIELD_VALUES", 2 * 501)  # two fields of 501 samples
+        assert cli.run(write_config(tmp_path, doc), quiet=True) == 0
+        assert calls == [2, 2, 1]
+        split = tmp_path / doc["output"]["dir"]
+        for path in sorted(whole.glob("packet_*.csv")):
+            want, got = (np.array(read_csv(d / path.name)[2]) for d in (whole, split))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), path.name
+
+    def test_csv_template_writes_what_the_join_writes(self, tmp_path):
         cfg = cli.parse_config(bad_doc("transmit", {}), tmp_path)
         cfg.outdir = tmp_path
         writer = cli.Writer(cfg, quiet=True)
         special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, -123456.789]
         tables = {"floats": [(v, -v, v * 3.0) for v in special],
                   "with_int": [(i + 1, v, 2.0 * v) for i, v in enumerate(special)]}
+
+        def join(row):  # the per-value format the template replaced
+            return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
+
         for name, rows in tables.items():
             writer.emit(name, ["a", "b", "c"], rows)
             lines = (tmp_path / f"{name}.csv").read_text().splitlines()
-            assert lines[-len(rows):] == [",".join(cli._fmt(v) for v in row) for row in rows]
+            assert lines[-len(rows):] == [join(row) for row in rows]
 
 
 class TestTablePotential:

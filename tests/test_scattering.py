@@ -130,8 +130,9 @@ class TestSampleWavefunction:
 
     def test_rejects_outside_grid(self, barrier, electron):
         sw = left_sweep(barrier, 0.3, electron)
-        with pytest.raises(ValueError):
-            sample_wavefunction(sw, barrier, [2.5])
+        for bad in ([2.5], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="samples must lie in"):
+                sample_wavefunction(sw, barrier, bad)
 
     def test_resonant_intrawell_amplification(self, electron):
         from qsweep import REFERENCE_DOUBLE_BARRIER

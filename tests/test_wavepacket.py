@@ -199,8 +199,9 @@ class TestEvolve:
 
     def test_rejects_samples_outside_grid(self, free_run, narrow_band_packet):
         _, cache, _ = free_run
-        with pytest.raises(ValueError):
-            evolve(narrow_band_packet, cache, 0.0, [130.0])
+        for bad in ([130.0], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="samples must lie in"):
+                evolve(narrow_band_packet, cache, 0.0, bad)
 
 
 class TestEvolveTimes:
@@ -235,6 +236,14 @@ class TestEvolveTimes:
         for times in ([bad, 0.0], [0.0, late, bad], np.array([late, 5.0, bad])):
             with pytest.raises(ValueError, match="finite t >= 0"):
                 evolve(narrow_band_packet, cache, times, xs)
+
+    def test_fields_keep_the_shape_of_xs(self, free_run, narrow_band_packet):
+        _, cache, xs = free_run
+        for shaped in (xs[:12].reshape(3, 4), xs[5]):
+            flat = evolve(narrow_band_packet, cache, [0.0, 60.0], np.ravel(shaped))
+            for one, field in zip(flat, evolve(narrow_band_packet, cache, [0.0, 60.0], shaped)):
+                assert field.x.shape == field.psi.shape == np.shape(shaped)
+                assert np.array_equal(field.psi.ravel(), one.psi)
 
     def test_empty_sequence(self, free_run, narrow_band_packet):
         _, cache, xs = free_run
