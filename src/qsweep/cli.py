@@ -101,9 +101,12 @@ def _value(section: dict, where: str, key: str, rule, problems: list, optional=F
             return (float(v[0]), float(v[1]))
         problems.append(f"'{where}.{key}' must be [a, b] with a < b, got {v!r}")
     elif isinstance(rule, int):
-        if isinstance(v, int) and not isinstance(v, bool) and v >= rule:
+        if not isinstance(v, int) or isinstance(v, bool) or v < rule:
+            problems.append(f"'{where}.{key}' must be an integer >= {rule}, got {v!r}")
+        elif v > sys.maxsize:
+            problems.append(f"'{where}.{key}' must be at most {sys.maxsize}, got {v!r}")
+        else:
             return v
-        problems.append(f"'{where}.{key}' must be an integer >= {rule}, got {v!r}")
     elif not _is_finite(v):
         problems.append(f"'{where}.{key}' must be a finite number, got {v!r}")
     elif rule == "positive" and not v > 0:
@@ -325,9 +328,7 @@ class Writer:
             _atomic_write(path, "\n".join(lines) + "\n")
         else:
             path = self.cfg.outdir / f"{name}.json"
-            doc = {"meta": meta, "columns": columns,
-                   "rows": [[float(v) if isinstance(v, float) else v for v in row]
-                            for row in rows]}
+            doc = {"meta": meta, "columns": columns, "rows": rows}
             _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         self.written.append(path)
         if not self.quiet:
@@ -362,11 +363,7 @@ def _run_transmit(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer,
 
 
 def _run_wavefunc(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
-    over = cfg.task["oversample"]
-    if over > 1:
-        xs = np.linspace(dp.x[0], dp.x[-1], dp.n_steps * over + 1)
-    else:
-        xs = dp.x
+    xs = np.linspace(dp.x[0], dp.x[-1], dp.n_steps * cfg.task["oversample"] + 1)
     for E in cfg.task["energies"]:
         sweep = left_sweep(dp, E, cfg.ctx)
         field = sample_wavefunction(sweep, dp, xs)
@@ -474,6 +471,9 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, ValueError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

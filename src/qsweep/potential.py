@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -47,6 +48,12 @@ class PotentialEvalError(ValueError):
 
 CONSTANTS = {"pi": math.pi, "e2": 1.44}
 FUNCTIONS = {"exp": math.exp, "abs": abs, "sqrt": math.sqrt}
+# binary operators: symbol -> (tree node, function, binding level); levels 0
+# and 1 associate to the left, level 2 to the right
+_OPERATORS = {"+": ("add", operator.add, 0), "-": ("sub", operator.sub, 0),
+              "*": ("mul", operator.mul, 1), "/": ("div", operator.truediv, 1),
+              "^": ("pow", math.pow, 2)}
+_NODES = {node: (sym, fn) for sym, (node, fn, _) in _OPERATORS.items()}
 
 _TOKEN = re.compile(
     r"(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
@@ -94,20 +101,20 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExpressionError(f"expected {op!r}", pos)
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            _, op, _ = self.take()
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+    def binary_op(self, level):
+        """Take the next token if it is an operator of `level`; its node."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in _OPERATORS and _OPERATORS[value][2] == level:
+            self.take()
+            return _OPERATORS[value][0]
+        return None
 
-    def term(self):
-        node = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            _, op, _ = self.take()
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
+    def expr(self, level=0):
+        """expr (level 0) or term (level 1): a left-associative chain."""
+        operand = self.factor if level == 1 else lambda: self.expr(level + 1)
+        node = operand()
+        while op := self.binary_op(level):
+            node = (op, node, operand())
         return node
 
     def factor(self):
@@ -118,9 +125,8 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            return ("pow", base, self.factor())
+        if op := self.binary_op(2):
+            return (op, base, self.factor())
         return base
 
     def atom(self):
@@ -177,19 +183,9 @@ def eval_expr(tree, x: float) -> float:
         return -eval_expr(tree[1], x)
     if op == "call":
         return FUNCTIONS[tree[1]](eval_expr(tree[2], x))
-    a = eval_expr(tree[1], x)
-    b = eval_expr(tree[2], x)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return math.pow(a, b)
-    raise ValueError(f"corrupt expression node {tree!r}")
+    if op not in _NODES:
+        raise ValueError(f"corrupt expression node {tree!r}")
+    return _NODES[op][1](eval_expr(tree[1], x), eval_expr(tree[2], x))
 
 
 def expr_to_text(tree) -> str:
@@ -205,8 +201,7 @@ def expr_to_text(tree) -> str:
         return f"(-{expr_to_text(tree[1])})"
     if op == "call":
         return f"{tree[1]}({expr_to_text(tree[2])})"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}[op]
-    return f"({expr_to_text(tree[1])}{sym}{expr_to_text(tree[2])})"
+    return f"({expr_to_text(tree[1])}{_NODES[op][0]}{expr_to_text(tree[2])})"
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +228,7 @@ def make_expression(pieces) -> PotentialSpec:
     for xmin, xmax, text in pieces:
         if not xmin < xmax:
             raise ValueError(f"empty piece range [{xmin!r}, {xmax!r})")
-        tree = parse_potential_expr(text) if isinstance(text, str) else text
-        parsed.append((float(xmin), float(xmax), tree))
+        parsed.append((float(xmin), float(xmax), parse_potential_expr(text)))
     parsed.sort(key=lambda p: p[0])
     for (_, hi, _), (lo, _, _) in zip(parsed, parsed[1:]):
         if hi != lo:
@@ -420,10 +414,7 @@ def load_table(rows) -> PotentialSpec:
             raise ValueError(f"table x values must be strictly increasing ({a!r} then {b!r})")
 
     def evaluate(x: float) -> float:
-        i = bisect.bisect_right(xs, x) - 1
-        if i < 0:
-            i = 0
-        return us[i]
+        return us[max(bisect.bisect_right(xs, x) - 1, 0)]
 
     label = f"table({len(rows)} rows, x in [{xs[0]:g}, {xs[-1]:g}])"
     return PotentialSpec(label=label, evaluate=evaluate)

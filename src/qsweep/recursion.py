@@ -33,8 +33,8 @@ Single-energy callers keep the scalar loop, faster for one energy.
 A denominator below _SINGULARITY_FLOOR in magnitude, or NaN, is singular.
 The scalar loop raises NumericalSingularityError naming the energy and the
 grid step.  The batched sweeps only flag the energies that met one; the
-curves rerun those through the single-energy functions, so every error a
-curve raises is the one a loop over its energies would raise.
+curves and left_sweeps rerun those through the single-energy functions,
+so every error they raise is the one a loop over the energies would raise.
 """
 
 from __future__ import annotations
@@ -264,6 +264,30 @@ def transmission_sweep(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleCon
                    r, failed, t=t)
     k0, kN = step_wavevectors(E, dp.u[[0, -1], None], ctx.phi)
     return t, r, k0, kN, failed
+
+
+# A mode that turns inf or nan is flagged and rerun, so numpy need not warn.
+@np.errstate(divide="ignore", invalid="ignore")
+def left_sweeps(dp: DiscretizedPotential, E: np.ndarray, ctx: ParticleContext):
+    """k, A and B of left_sweep for an array of energies at once, as
+    (N+1, M) arrays with one column per energy.
+
+    One sweep over the (N+1, M) wavevector block writes R_{j+1} into B and
+    T_j into A, then A = cumprod(T) and B = A R_{j+1} are formed in place.
+    Energies that are non-finite or met a singular denominator are rerun
+    through left_sweep, which raises what a loop over them would.
+    """
+    k = step_wavevectors(E, dp.u[:, None], ctx.phi)
+    A, B = np.empty((2, *k.shape), dtype=complex)
+    A[0], B[-1] = 1.0, 0.0
+    failed = np.zeros(len(E), dtype=bool)
+    _steps(k, 1j * dp.dx, B[-1], failed, out=B[:-1], T=A[1:])
+    np.multiply.accumulate(A, axis=0, out=A)
+    B *= A
+    for m in np.flatnonzero(failed | ~np.isfinite(E)):
+        sweep = left_sweep(dp, float(E[m]), ctx)
+        k[:, m], A[:, m], B[:, m] = sweep.k, sweep.A, sweep.B
+    return k, A, B
 
 
 def _segment_mismatch(k, jdx, a_row, r_top, rbar, allowed, failed):

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, HBAR, PLANCK_H, ParticleContext, step_wavevectors
+from .constants import C_LIGHT, HBAR, PLANCK_H, ParticleContext
 from .errors import InvalidDesignError
 from .potential import DiscretizedPotential
-from .recursion import _BLOCK_VALUES, _steps, left_sweep
+from .recursion import left_sweeps
 from .scattering import WaveField, field_sampler
 
 # The Gaussian coefficient envelope is negligible beyond this many widths.
@@ -117,27 +117,10 @@ def group_velocity(packet: WavePacket, ctx: ParticleContext) -> float:
     return HBAR * C_LIGHT**2 * packet.kappa0 / ctx.mass
 
 
-# A mode that turns inf or nan is flagged and rerun, so numpy need not warn.
-@np.errstate(divide="ignore", invalid="ignore")
 def precompute_modes(dp: DiscretizedPotential, packet: WavePacket,
                      ctx: ParticleContext) -> ModeCache:
-    """Solve all packet modes in one sweep over the (N+1, M) wavevector
-    block: R_{j+1} goes into B and T_j into A, then A = cumprod(T) and
-    B = A R_{j+1} are formed in place.  Modes that are non-finite or met a
-    singular denominator are rerun through left_sweep, which raises what a
-    loop over the modes would."""
-    E = packet.E
-    k = step_wavevectors(E, dp.u[:, None], ctx.phi)
-    A, B = np.empty((2, *k.shape), dtype=complex)
-    A[0], B[-1] = 1.0, 0.0
-    failed = np.zeros(len(E), dtype=bool)
-    _steps(k, 1j * dp.dx, B[-1], failed, out=B[:-1], T=A[1:])
-    np.multiply.accumulate(A, axis=0, out=A)
-    B *= A
-    for m in np.flatnonzero(failed | ~np.isfinite(E)):
-        sweep = left_sweep(dp, float(E[m]), ctx)
-        k[:, m], A[:, m], B[:, m] = sweep.k, sweep.A, sweep.B
-    return ModeCache(dp=dp, k=k, A=A, B=B)
+    """Solve all packet modes in one batched sweep (recursion.left_sweeps)."""
+    return ModeCache(dp, *left_sweeps(dp, packet.E, ctx))
 
 
 def evolve(packet: WavePacket, cache: ModeCache, t, xs):
@@ -165,8 +148,8 @@ def evolve(packet: WavePacket, cache: ModeCache, t, xs):
     W = np.exp(-1j * (np.outer(tl, packet.E) / HBAR + packet.kappa * shift))
     W *= packet.c * (packet.dkappa / math.sqrt(2.0 * math.pi))
     psi = np.empty((len(tl), len(xs)), dtype=complex)
-    chunk = max(1, 16 * _BLOCK_VALUES // len(packet.c))
-    for lo in range(0, len(xs), chunk):  # ~1 MiB field blocks keep memory flat
+    chunk = max(1, 2**16 // len(packet.c))  # 1 MiB field blocks keep memory flat
+    for lo in range(0, len(xs), chunk):
         psi[:, lo:lo + chunk] = W @ field(cache, slice(lo, lo + chunk)).T
     central = float(packet.kappa0**2 * packet.E[0] / packet.kappa[0] ** 2)
     fields = [WaveField(x=xs.reshape(shape), psi=p.reshape(shape), E=central) for p in psi]

@@ -325,7 +325,6 @@ def test_singular_mode_raises_what_a_loop_over_the_modes_raises(electron, monkey
     packet = design_packet(0.6, dE=0.3, n_modes=5, x0=-1.0, ctx=electron)
     patched = cancelling_wavevectors(packet.E[[3, 1]])
     monkeypatch.setattr(recursion, "step_wavevectors", patched)
-    monkeypatch.setattr("qsweep.wavepacket.step_wavevectors", patched)
     expected = first_scalar_error(lambda E: left_sweep(dp, E, electron), packet.E)
     assert expected.energy == packet.E[1]
     with pytest.raises(NumericalSingularityError) as err:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,17 @@ class TestTransmitTask:
         code = cli.main([str(write_config(tmp_path, doc))])
         assert code == 3
         assert "E=" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "discretize", no_memory)
+        doc = base_config(tmp_path / "out", {"type": "transmit", "Emin": 0.2, "Emax": 0.4,
+                                             "N_E": 3})
+        assert cli.main([str(write_config(tmp_path, doc))]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory: Unable to allocate 7.28 TiB for an array"]
 
     def test_dump_coefficients_flag(self, tmp_path):
         out = tmp_path / "out"
@@ -552,6 +564,8 @@ PROBLEM_CASES = [
      ["'grid.N' must be an integer >= 2, got 100.0"]),
     ("grid-N-bool", "transmit", {"grid.N": True},
      ["'grid.N' must be an integer >= 2, got True"]),
+    ("grid-N-beyond-maxsize", "transmit", {"grid.N": sys.maxsize + 1},
+     [f"'grid.N' must be at most {sys.maxsize}, got {sys.maxsize + 1}"]),
     ("grid-reversed", "transmit", {"grid.x0": 5, "grid.xN": -5},
      ["'grid' must satisfy x0 < xN, got 5.0 >= -5.0"]),
     ("grid-empty", "transmit", {"grid.xN": -5.0},
@@ -734,6 +748,8 @@ def test_every_fault_reported(table_dir, ttype, changes, expected):
 # problems for inputs that used to pass validation or crash it
 BEYOND_FLOAT = int("1" * 400)  # a JSON integer that no float can hold
 NEW_PROBLEM_CASES = [
+    ("task-N_E-beyond-maxsize", {"task.N_E": 10**30},
+     [f"'task.N_E' must be at most {sys.maxsize}, got {10**30}"]),
     ("grid-x0-int-beyond-float", {"grid.x0": -BEYOND_FLOAT},
      [f"'grid.x0' must be a finite number, got -{BEYOND_FLOAT}"]),
     ("builtin-param-int-beyond-float",
@@ -789,6 +805,24 @@ REPO = Path(__file__).resolve().parents[1]
                          ids=lambda p: p.name)
 def test_shipped_configs_validate(path):
     assert cli.main([str(path), "--validate-only", "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_rerun_byte_identical(tmp_path, path, fmt):
+    doc = json.loads(path.read_text())
+    doc["output"]["format"] = fmt
+    outs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert cli.run(write_config(tmp_path / name, doc), quiet=True) == 0
+        outs.append(tmp_path / name / doc["output"]["dir"])
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and all(n.endswith("." + fmt) for n in names)
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for n in names:
+        assert (outs[0] / n).read_bytes() == (outs[1] / n).read_bytes(), n
 
 
 def test_readme_task_table_matches_validator():

@@ -306,3 +306,32 @@ class TestEigenfunction:
     def test_no_allowed_region_raises(self, well, electron):
         with pytest.raises(InvalidEigenvalueError):
             eigenfunction(well, -1.5, electron)
+
+    @settings(max_examples=15, deadline=None)
+    @given(V0=st.floats(0.2, 1.5), cells=st.integers(32, 96))
+    def test_every_level_is_normalized_with_n_minus_1_nodes(self, electron, V0, cells):
+        # the step table is the well itself, so the oracle levels are its levels
+        dp, half_width = binary_square_well(V0, cells)
+        levels = oracle.finite_well_eigenvalues(V0, half_width, electron)
+        assert levels
+        for n, E in enumerate(levels, start=1):
+            pair = eigenfunction(dp, E, electron)
+            assert abs(pair.norm_check - 1.0) <= 1e-9
+            assert count_interior_nodes(pair.psi) == n - 1  # Sturm oscillation
+
+
+@pytest.mark.parametrize("text,x0,xN", [("0.5*x^2", -3.5, 3.5),
+                                        ("0.5*x^2+0.1*x^3", -3.0, 3.5)])
+def test_smooth_potential_levels_converge_at_second_order(electron, text, x0, xN):
+    # Left-node sampling shifts a level by -(dx/2)<U'> to first order, and
+    # <U'> = 0 in a bound state (Ehrenfest), so the error falls as dx^2.
+    spec = make_expression(text)
+    levels = []
+    for N in (400, 800, 1600):
+        found = find_eigenvalues(discretize(spec, x0, xN, N), 0.01, 0.9, 200, electron,
+                                 refine_tol=1e-13)
+        assert len(found) == 3
+        levels.append(np.array([c.energy for c in found]))
+    E_N, E_2N, E_4N = levels
+    order = np.log2(np.abs(E_N - E_2N) / np.abs(E_2N - E_4N))
+    assert np.all(np.abs(order - 2.0) <= 0.1), order

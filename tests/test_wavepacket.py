@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qsweep.recursion as recursion
 import qsweep.wavepacket as wp
 from qsweep import (
     C_LIGHT,
@@ -116,7 +117,7 @@ class TestModeCache:
             return wrapper
 
         for name in ("left_sweep", "_steps", "step_wavevectors"):
-            monkeypatch.setattr(wp, name, counting(getattr(wp, name)))
+            monkeypatch.setattr(recursion, name, counting(getattr(recursion, name)))
         dp = discretize(make_expression("0"), -50, 50, 200)
         pk = design_packet(0.5, sigma_x=5.0, n_modes=21, x0=0.0, ctx=electron)
         cache = precompute_modes(dp, pk, electron)
