@@ -14,13 +14,13 @@ phase at one step h,
     theta(E) = arg(Rbar_h R_{h+1} e^{-2ik_h dx_h}),
 
 which crosses zero at the level, by Illinois regula falsi (Dowell &
-Jarratt, BIT 11, 1971).  Golden-section search on f is the fallback for a
-dip where theta cannot bracket a level.
+Jarratt, BIT 11, 1971).  theta needs only R_{h+1} and Rbar_h, so it comes
+from two half sweeps, N steps in all.  Golden-section search on f is the
+fallback for a dip where theta cannot bracket a level.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +29,7 @@ import numpy as np
 from .constants import ParticleContext
 from .errors import InvalidEigenvalueError
 from .potential import DiscretizedPotential
-from .recursion import mismatch_sweep, nonfinite_energy, reflection_coefficients
+from .recursion import matching_phase, mismatch_sweep, nonfinite_energy, reflection_coefficients
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -65,7 +65,6 @@ class Eigenpair:
     residual: float
     match_index: int
     psi: np.ndarray
-    norm_check: float
 
 
 def _interval_nodes(dp: DiscretizedPotential, interval) -> np.ndarray:
@@ -212,11 +211,12 @@ def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: in
     region, where the functional is discontinuous, not a bound state.  Each
     bracket is refined to `refine_tol` (default: one hundredth of the scan
     step) on the matching phase theta(E) at the step h of minimum potential
-    inside the interval, the step `eigenfunction` matches at.  Where theta
-    does not change sign over the bracket, or f at its root is not deep
-    enough, golden-section search on f refines the bracket instead.  A
-    refined dip is accepted when its f value falls below
-    ACCEPT_FRACTION_OF_MEDIAN times the median finite f of the scan.
+    inside the interval, the step `eigenfunction` matches at; theta comes
+    from two half sweeps that meet at h.  Where theta does not change sign
+    over the bracket, or f at its root is not deep enough, golden-section
+    search on f refines the bracket instead.  A refined dip is accepted
+    when its f value falls below ACCEPT_FRACTION_OF_MEDIAN times the
+    median finite f of the scan.
     """
     if not Emin < Emax:
         raise ValueError(f"need Emin < Emax, got {Emin!r} >= {Emax!r}")
@@ -236,10 +236,6 @@ def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: in
     threshold = ACCEPT_FRACTION_OF_MEDIAN * float(np.median(finite))
     h = _match_step(dp, _interval_nodes(dp, interval))
 
-    def theta(E):
-        k, R, _, Rbar, _ = reflection_coefficients(dp, E, ctx)
-        return cmath.phase(Rbar[h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
-
     # Successive strict minima have brackets that at most touch, so the
     # levels come out in energy order.
     candidates = []
@@ -248,7 +244,7 @@ def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: in
             continue
         if f[i] < f[i - 1] and f[i] < f[i + 1]:
             a, b = grid[i - 1], grid[i + 1]
-            root = _phase_root(theta, a, b, tol)
+            root = _phase_root(lambda E: matching_phase(dp, E, ctx, h), a, b, tol)
             if root is not None:
                 e_best, half = root
                 f_best = mismatch(dp, e_best, ctx, interval)
@@ -308,6 +304,4 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
     if S <= 0.0:
         raise InvalidEigenvalueError(f"eigenfunction vanished everywhere at E={energy!r} eV")
     psi /= math.sqrt(S)
-    norm_check = float(np.sum(np.abs(psi) ** 2 * dp.dx))
-    return Eigenpair(energy=energy, residual=residual, match_index=h,
-                     psi=psi, norm_check=norm_check)
+    return Eigenpair(energy=energy, residual=residual, match_index=h, psi=psi)

@@ -90,13 +90,13 @@ def _scalar_grid(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
     return k, k.tolist(), dp.dx.tolist()
 
 
-def _left_coefficients(k, dx, E):
-    """Backward recursion for step coefficients R_j, T_j (j = N..1)."""
+def _left_coefficients(k, dx, E, stop=1):
+    """Backward recursion for step coefficients R_j, T_j (j = N..stop)."""
     N = len(k) - 1
     R = [0j] * (N + 2)
     T = [0j] * (N + 1)
     exp = cmath.exp
-    for j in range(N, 0, -1):
+    for j in range(N, stop - 1, -1):
         ka = k[j - 1]
         kb = k[j]
         rnext = R[j + 1]
@@ -118,14 +118,14 @@ def _left_solution(k, dx, E):
     return R, T, A, B
 
 
-def _mirrored(left, k, dx, E):
+def _mirrored(left, k, dx, E, *args):
     """`left` run on the mirrored grid, which makes it the right recursion.
 
     Step j' of the mirrored grid is step N + 1 - j' of the grid, and a
     singular step is reported under that number.
     """
     try:
-        return left(k[::-1], dx[::-1], E)
+        return left(k[::-1], dx[::-1], E, *args)
     except NumericalSingularityError as exc:
         raise NumericalSingularityError(E, len(k) - exc.step) from None
 
@@ -169,6 +169,21 @@ def reflection_coefficients(dp: DiscretizedPotential, E: float, ctx: ParticleCon
     Rm, Tm = _mirrored(_left_coefficients, kl, dx, E)
     return (k, R, T, np.array(Rm[:0:-1], dtype=complex),
             np.array([0j] + Tm[:0:-1], dtype=complex))
+
+
+def matching_phase(dp: DiscretizedPotential, E: float, ctx: ParticleContext, h: int) -> float:
+    """theta = arg(Rbar_h R_{h+1} e^{-2ik_h dx_h}), the bound-state matching
+    phase at step h, from two half sweeps and no arrays.
+
+    The left recursion runs down to step h + 1 and the right one up to
+    step h, N steps in all where reflection_coefficients runs 2N.  So a
+    singular denominator is reported only where the left recursion meets
+    it above step h or the right one at or below it.
+    """
+    k, kl, dx = _scalar_grid(dp, E, ctx)
+    R, _ = _left_coefficients(kl, dx, E, h + 1)
+    Rm, _ = _mirrored(_left_coefficients, kl, dx, E, len(kl) - h)  # Rbar_j = Rm[N + 1 - j]
+    return cmath.phase(Rm[-1 - h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
 
 
 # ---------------------------------------------------------------------------

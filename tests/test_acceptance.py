@@ -30,7 +30,7 @@ from qsweep import (
     transmission,
     transmission_curve,
 )
-from qsweep.constants import phi_factor
+from qsweep.constants import HBAR, phi_factor
 from qsweep.eigen import golden_section_minimize
 
 
@@ -95,6 +95,22 @@ def resonance_run(electron):
 
     e_res, neg_t, _ = golden_section_minimize(lambda E: -t_of(E), 0.06, 0.075, 1e-9)
     return dp, t_of, e_res, -neg_t
+
+
+@pytest.fixture(scope="module")
+def resonance_lifetime(resonance_run, electron):
+    """Decay time and r^2 of the well probability of a packet launched at
+    the resonance."""
+    dp, _, e_res, _ = resonance_run
+    packet = design_packet(e_res, dE=0.045, n_modes=257, x0=-25.0, ctx=electron)
+    cache = precompute_modes(dp, packet, electron)
+    well = np.linspace(-1.2, 1.2, 241)
+    times = np.arange(0.0, 1241.0, 40.0)
+    samples = [
+        (float(t), region_probability(evolve(packet, cache, float(t), well), -1.2, 1.2))
+        for t in times
+    ]
+    return fit_lifetime(samples, t_start=450.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +242,7 @@ def test_criterion_7_conservation_suite(electron):
            f"|T+R-1|={worst_sum:.2e} |forms|={worst_form:.2e} |recip|={worst_recip:.2e}")
 
 
-def test_criterion_8_resonance_behavior(resonance_run, electron):
+def test_criterion_8_resonance_behavior(resonance_run, resonance_lifetime, electron):
     dp, t_of, e_res, t_peak = resonance_run
     ok = t_peak > 0.9
     # floor: everywhere in the scan band at least 5 linewidths off resonance
@@ -247,15 +263,7 @@ def test_criterion_8_resonance_behavior(resonance_run, electron):
     ok &= len(antinodes) == 2
     ok &= amp.max() > 2.0 * abs(sweep.A[0])
 
-    packet = design_packet(e_res, dE=0.045, n_modes=257, x0=-25.0, ctx=electron)
-    cache = precompute_modes(dp, packet, electron)
-    well = np.linspace(-1.2, 1.2, 241)
-    times = np.arange(0.0, 1241.0, 40.0)
-    samples = [
-        (float(t), region_probability(evolve(packet, cache, float(t), well), -1.2, 1.2))
-        for t in times
-    ]
-    tau, r2 = fit_lifetime(samples, t_start=450.0)
+    tau, r2 = resonance_lifetime
     ok &= r2 > 0.99 and tau > 0
     report("8 resonance behavior", ok,
            f"E_res={e_res:.4f} T_peak={t_peak:.4f} floor={floor:.4f} "
@@ -277,7 +285,8 @@ def test_criterion_9_eigenfunction_integrity(molecular_run, double_well_run,
     for label, dp, ctx, found, interval, single_well in runs:
         for nu, cand in enumerate(found, start=1):
             pair = eigenfunction(dp, cand.energy, ctx, interval=interval)
-            worst_norm = max(worst_norm, abs(pair.norm_check - 1.0))
+            norm = float(np.sum(np.abs(pair.psi) ** 2 * dp.dx))
+            worst_norm = max(worst_norm, abs(norm - 1.0))
             cont = derivative_mismatch_at_match(dp, cand.energy, ctx, pair.match_index)
             worst_cont = max(worst_cont, cont)
             if single_well:
@@ -288,3 +297,26 @@ def test_criterion_9_eigenfunction_integrity(molecular_run, double_well_run,
     report("9 eigenfunction integrity", ok,
            f"|norm-1|={worst_norm:.2e} continuity={worst_cont:.2e} "
            f"node failures={node_fail or 'none'}")
+
+
+def test_criterion_10_resonance_lifetime_is_hbar_over_linewidth(resonance_run,
+                                                                 resonance_lifetime):
+    # Breit-Wigner: the packet engine's trapped-mode lifetime and the
+    # scattering engine's T(E) linewidth are one number, tau = hbar / Gamma.
+    _, t_of, e_res, t_peak = resonance_run
+
+    def half_peak(inside, outside):
+        """Bisect for T = T_peak / 2 between an energy above it and one below."""
+        while abs(outside - inside) > 1e-12:
+            mid = 0.5 * (inside + outside)
+            if t_of(mid) > 0.5 * t_peak:
+                inside = mid
+            else:
+                outside = mid
+        return 0.5 * (inside + outside)
+
+    gamma = half_peak(e_res, e_res + 0.01) - half_peak(e_res, e_res - 0.01)
+    tau, _ = resonance_lifetime
+    expected = HBAR / gamma
+    report("10 resonance lifetime", abs(tau - expected) <= 0.01 * expected,
+           f"Gamma={1e3 * gamma:.4f}meV hbar/Gamma={expected:.2f}fs tau={tau:.2f}fs")

@@ -23,6 +23,7 @@ from qsweep import (
 )
 from qsweep.eigen import golden_section_minimize
 from qsweep.errors import InvalidEigenvalueError
+from qsweep.recursion import reflection_coefficients
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -251,6 +252,21 @@ class TestFindEigenvalues:
         assert len(found) == 4
         assert golden_calls == []
 
+    def test_phase_refinement_runs_no_full_sweep(self, well, electron, golden_calls,
+                                                 monkeypatch):
+        # The full two-direction sweep runs once per level, for the residual
+        # f at its root; theta comes from half sweeps only.
+        swept = []
+
+        def counted(dp, E, ctx):
+            swept.append(E)
+            return reflection_coefficients(dp, E, ctx)
+
+        monkeypatch.setattr(eigen, "reflection_coefficients", counted)
+        found = find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-9)
+        assert golden_calls == []
+        assert swept == [c.energy for c in found] and len(found) == 4
+
     def test_double_well_level_without_phase_bracket(self, golden_calls):
         # The right-well search of the double well also dips at a left-well
         # level near -0.0626 eV; theta does not change sign over that dip,
@@ -272,7 +288,8 @@ class TestEigenfunction:
     def test_norm_and_residual(self, well, well_states, electron):
         for cand in well_states:
             pair = eigenfunction(well, cand.energy, electron)
-            assert pair.norm_check == pytest.approx(1.0, abs=1e-9)
+            norm = float(np.sum(np.abs(pair.psi) ** 2 * well.dx))
+            assert norm == pytest.approx(1.0, abs=1e-9)
             assert pair.residual == pytest.approx(cand.residual, rel=1e-6, abs=1e-12)
 
     def test_sturm_node_counts(self, well, well_states, electron):
@@ -316,7 +333,8 @@ class TestEigenfunction:
         assert levels
         for n, E in enumerate(levels, start=1):
             pair = eigenfunction(dp, E, electron)
-            assert abs(pair.norm_check - 1.0) <= 1e-9
+            norm = float(np.sum(np.abs(pair.psi) ** 2 * dp.dx))
+            assert abs(norm - 1.0) <= 1e-9
             assert count_interior_nodes(pair.psi) == n - 1  # Sturm oscillation
 
 

@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qsweep import (
@@ -12,12 +13,15 @@ from qsweep import (
     load_table,
     make_builtin,
     make_expression,
+    mismatch,
     oracle,
     right_sweep,
     transmission,
 )
+from qsweep import recursion
 from qsweep.errors import NumericalSingularityError
-from qsweep.recursion import _left_coefficients
+from qsweep.recursion import _left_coefficients, matching_phase, reflection_coefficients
+from test_batched import cancelling_wavevectors, first_scalar_error, marked_potential
 
 
 def flat_potential(x0=-5.0, xN=5.0, N=100):
@@ -196,3 +200,52 @@ def test_singularity_guard_raises():
     with pytest.raises(NumericalSingularityError) as err:
         _left_coefficients([1.0 + 0j, -1.0 + 0j], [0.1, 0.1], 0.5)
     assert err.value.step == 1
+
+
+class TestMatchingPhase:
+    """theta from the two half sweeps against theta from the full ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(21, 80), above=st.booleans(),
+           gap=st.floats(1e-3, 1.0))
+    def test_equals_the_phase_of_the_full_sweeps(self, electron, seed, N, above, gap):
+        dp = random_structure(np.random.default_rng(seed), N=N)
+        E = float(dp.u.max() + (gap if above else -1.4 * gap))
+        k, R, _, Rbar, _ = reflection_coefficients(dp, E, electron)
+        for h in range(N + 1):
+            full = cmath.phase(Rbar[h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
+            assert matching_phase(dp, E, electron, h) == full  # bit for bit
+
+    # marked_potential(node) at E = 0.5 is singular in the left recursion at
+    # step node + 1 (not with the barrier right of the node) and in the
+    # right one at step node.  The left half runs steps h + 1..N of
+    # the left recursion and the right half steps 1..h of the right one.
+    @settings(max_examples=60, deadline=None)
+    @given(node=st.integers(1, 28), barrier=st.booleans(), h=st.integers(0, 30))
+    @example(node=7, barrier=False, h=3)   # inside the left half
+    @example(node=7, barrier=False, h=8)   # left step 8 is not run, right step 7 is
+    @example(node=7, barrier=True, h=7)    # inside the right half, at its top
+    @example(node=7, barrier=True, h=6)    # outside both halves
+    def test_singular_step_inside_a_half_is_reported(self, electron, node, barrier, h):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recursion, "step_wavevectors", cancelling_wavevectors([0.5]))
+            dp = marked_potential(node, (0.2, 0.3) if barrier else ())
+            left = first_scalar_error(lambda E: left_sweep(dp, E, electron), [0.5])
+            right = first_scalar_error(lambda E: right_sweep(dp, E, electron), [0.5])
+            assert right is not None and right.step == node
+            if left is not None and left.step > h:
+                expected = left
+            elif right.step <= h:
+                expected = right
+            else:
+                # A singular step outside both halves no longer stops theta;
+                # the residual sweep at the refined energy still raises there.
+                assert math.isfinite(matching_phase(dp, 0.5, electron, h))
+                expected = left if left is not None else right
+                with pytest.raises(NumericalSingularityError) as err:
+                    mismatch(dp, 0.5, electron)
+                assert (err.value.energy, err.value.step) == (0.5, expected.step)
+                return
+            with pytest.raises(NumericalSingularityError) as err:
+                matching_phase(dp, 0.5, electron, h)
+            assert (err.value.energy, err.value.step) == (0.5, expected.step)
