@@ -81,6 +81,8 @@ SAMPLES = {"xmin": "number", "xmax": "number", "n": 2}
 SECTIONS = {"potential": ("builtin", "expression", "table"), "grid": GRID,
             "particle": ("mass",), "task": None, "output": ("dir", "format")}
 PIECE = ("xmin", "xmax", "expr")
+# the file each entry of a list writes; no two entries may share one
+ENTRY_NAMES = {"energies": "wavefunction_E{:g}", "times": "packet_t{:g}"}
 
 
 def _check_keys(section: dict, where: str, allowed, problems: list):
@@ -209,6 +211,20 @@ def _to_bound(v, where: str, problems: list):
     return None
 
 
+def _entry_list(section: dict, key: str, least: float, what: str, problems: list):
+    """section[key] as floats: finite numbers >= least, each naming its own file."""
+    v = section.get(key)
+    if not isinstance(v, list) or not v or not all(_is_finite(e) and e >= least for e in v):
+        problems.append(f"'task.{key}' must be a nonempty list of {what}")
+        return None
+    groups: dict[str, list] = {}
+    for e in map(float, v):
+        groups.setdefault(ENTRY_NAMES[key].format(e), []).append(e)
+    problems += [f"'task.{key}' values {es} share the output name '{name}'"
+                 for name, es in groups.items() if len(es) > 1]
+    return [float(e) for e in v]
+
+
 def _parse_task(section: dict, problems: list) -> dict | None:
     ttype = section.get("type")
     if not isinstance(ttype, str) or ttype not in TASKS:
@@ -220,22 +236,12 @@ def _parse_task(section: dict, problems: list) -> dict | None:
     if ttype == "eigen":
         _ascending("task", "Emin", "Emax", task, problems)
     if ttype == "wavefunc":
-        energies = section.get("energies")
-        if not isinstance(energies, list) or not energies or not all(map(_is_finite, energies)):
-            problems.append("'task.energies' must be a nonempty list of numbers")
-        else:
-            task["energies"] = [float(e) for e in energies]
+        task["energies"] = _entry_list(section, "energies", -math.inf, "numbers", problems)
     if ttype != "packet":
         return task
     if ("dE" in section) == ("sigma_x" in section):
         problems.append("'task' must contain exactly one of 'dE' or 'sigma_x'")
-    times = section.get("times")
-    if not isinstance(times, list) or not times or not all(
-        _is_finite(t) and t >= 0 for t in times
-    ):
-        problems.append("'task.times' must be a nonempty list of times >= 0 (fs)")
-    else:
-        task["times"] = [float(t) for t in times]
+    task["times"] = _entry_list(section, "times", 0.0, "times >= 0 (fs)", problems)
     if "samples" in section:
         blk = section["samples"]
         if isinstance(blk, dict):
@@ -367,7 +373,7 @@ def _run_wavefunc(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
     for E in cfg.task["energies"]:
         sweep = left_sweep(dp, E, cfg.ctx)
         field = sample_wavefunction(sweep, dp, xs)
-        writer.emit(f"wavefunction_E{E:g}", ["x_nm", "re_psi", "im_psi", "abs2"],
+        writer.emit(ENTRY_NAMES["energies"].format(E), ["x_nm", "re_psi", "im_psi", "abs2"],
                     _field_rows(field.x, field.psi))
 
 
@@ -402,7 +408,7 @@ def _run_packet(cfg: RunConfig, dp: DiscretizedPotential, writer: Writer):
     for lo in range(0, len(times), per_call):
         group = times[lo:lo + per_call]
         for t, field in zip(group, evolve(packet, cache, group, xs)):
-            writer.emit(f"packet_t{t:g}", ["x_nm", "re_psi", "im_psi", "abs2"],
+            writer.emit(ENTRY_NAMES["times"].format(t), ["x_nm", "re_psi", "im_psi", "abs2"],
                         _field_rows(field.x, field.psi))
             total = region_probability(field, float(xs[0]) - 1e-9, float(xs[-1]) + 1e-9)
             row = [t, total]

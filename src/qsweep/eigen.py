@@ -7,8 +7,9 @@ every classically allowed step.  The mismatch functional
     f(E) = sum_j |Rbar_j R_{j+1} - e^{2ik_j dx_j}|,  over j with U(x_j) < E,
 
 is nonnegative and dips to zero exactly at the eigenvalues.  Restricting
-the sum to a sub-interval confines the search to one well of a multi-well
-potential.  A scan of f(E) finds the dips; each is refined on the matching
+the sum to a sub-interval drops other wells' terms, but does not confine
+the search to one well: a level of any well zeroes every term of f.
+A scan of f(E) finds the dips; each is refined on the matching
 phase at one step h,
 
     theta(E) = arg(Rbar_h R_{h+1} e^{-2ik_h dx_h}),
@@ -21,6 +22,7 @@ fallback for a dip where theta cannot bracket a level.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +31,7 @@ import numpy as np
 from .constants import ParticleContext
 from .errors import InvalidEigenvalueError
 from .potential import DiscretizedPotential
-from .recursion import matching_phase, mismatch_sweep, nonfinite_energy, reflection_coefficients
+from .recursion import coefficients, mismatch_sweep, nonfinite_energy
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -62,7 +64,6 @@ class Eigenpair:
     """Matched, normalized eigenfunction samples at the grid nodes."""
 
     energy: float
-    residual: float
     match_index: int
     psi: np.ndarray
 
@@ -88,20 +89,15 @@ def _match_step(dp: DiscretizedPotential, mask) -> int:
     return int(nodes[np.argmin(dp.u[nodes])])
 
 
-def _mismatch_sum(k, R, Rbar, dp: DiscretizedPotential, mask) -> float:
-    """sum over the masked steps of |Rbar_j R_{j+1} - e^{2ik_j dx_j}|."""
-    terms = np.abs(Rbar * R[1:] - np.exp(2j * k * dp.dx))
-    return float(terms[mask].sum())
-
-
 def mismatch(dp: DiscretizedPotential, E: float, ctx: ParticleContext,
              interval=None) -> float:
     """f(E) over the classically allowed steps (inf if there are none)."""
     mask = _allowed_mask(dp, E, interval)
     if not mask.any():
         return math.inf
-    k, R, _, Rbar, _ = reflection_coefficients(dp, E, ctx)
-    return _mismatch_sum(k, R, Rbar, dp, mask)
+    k, R, _, Rbar, _ = coefficients(dp, E, ctx)
+    terms = np.abs(np.array(Rbar) * np.array(R[1:]) - np.exp(2j * k * dp.dx))
+    return float(terms[mask].sum())
 
 
 def mismatch_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext,
@@ -200,6 +196,12 @@ def _phase_root(theta, a: float, b: float, tol: float):
     return (a if abs(ta) < abs(tb) else b), 0.5 * (b - a)
 
 
+def _theta(dp: DiscretizedPotential, E: float, ctx: ParticleContext, h: int) -> float:
+    """The matching phase at step h, from two half sweeps that meet there."""
+    k, R, _, Rbar, _ = coefficients(dp, E, ctx, h, h)
+    return cmath.phase(Rbar[h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
+
+
 def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: int,
                      ctx: ParticleContext, interval=None,
                      refine_tol: float | None = None) -> list[EigenvalueCandidate]:
@@ -244,7 +246,7 @@ def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: in
             continue
         if f[i] < f[i - 1] and f[i] < f[i + 1]:
             a, b = grid[i - 1], grid[i + 1]
-            root = _phase_root(lambda E: matching_phase(dp, E, ctx, h), a, b, tol)
+            root = _phase_root(lambda E: _theta(dp, E, ctx, h), a, b, tol)
             if root is not None:
                 e_best, half = root
                 f_best = mismatch(dp, e_best, ctx, interval)
@@ -267,7 +269,8 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
     D_h = A_h (1 + R_{h+1})/(1 + Rbar_{h-1}) is best conditioned.  With
     A_h = 1 the nodes j >= h take A_j + B_j from the left-incidence
     coefficients and the nodes j < h take C_j + D_j from the right-incidence
-    ones; the result is then normalized so sum |psi_j|^2 dx_j = 1.
+    ones; the result is then normalized so sum |psi_j|^2 dx_j = 1.  Each
+    side reads only its own half, so two half sweeps that meet at h serve.
     """
     mask = _allowed_mask(dp, energy, interval)
     if not mask.any():
@@ -276,8 +279,7 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
         )
     h = _match_step(dp, mask)
 
-    k, R, T, Rbar, Tbar = reflection_coefficients(dp, energy, ctx)
-    residual = _mismatch_sum(k, R, Rbar, dp, mask)
+    k, R, T, Rbar, Tbar = coefficients(dp, energy, ctx, h, h)
 
     N = dp.n_steps
     psi = np.zeros(N + 1, dtype=complex)
@@ -292,7 +294,8 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
     # Left of the match: right-incidence solution scaled by the matching
     # relation, walked outward with D_j = D_{j+1} Tbar_j.
     if h > 0:
-        d = (1.0 + R[h + 1]) / (1.0 + Rbar[h - 1])
+        # numpy's complex division: Python's rounds differently.
+        d = np.complex128(1.0 + R[h + 1]) / (1.0 + Rbar[h - 1])
         for j in range(h - 1, 0, -1):
             d = d * Tbar[j]
             psi[j] = d * (1.0 + Rbar[j - 1])
@@ -304,4 +307,4 @@ def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,
     if S <= 0.0:
         raise InvalidEigenvalueError(f"eigenfunction vanished everywhere at E={energy!r} eV")
     psi /= math.sqrt(S)
-    return Eigenpair(energy=energy, residual=residual, match_index=h, psi=psi)
+    return Eigenpair(energy=energy, match_index=h, psi=psi)

@@ -28,7 +28,8 @@ reversed), so one step update serves both directions.  The curve functions
 and packet modes use the energy-batched sweeps at the end of this module:
 the recursion is sequential in the step but independent across energies,
 so they carry (M,) vectors, one entry per energy, through the step loop.
-Single-energy callers keep the scalar loop, faster for one energy.
+Single-energy callers share `coefficients`, a scalar loop (faster for one
+energy) run in each direction only as far as the caller reads.
 
 A denominator below _SINGULARITY_FLOOR in magnitude, or NaN, is singular.
 The scalar loop raises NumericalSingularityError naming the energy and the
@@ -81,22 +82,14 @@ class RightSweep:
     D: np.ndarray
 
 
-def _scalar_grid(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
-    """Wavevectors as an array and as a list, and step widths as a list,
-    where a scalar sweep starts."""
-    if not math.isfinite(E):
-        raise nonfinite_energy(E)
-    k = step_wavevectors(E, dp.u, ctx.phi)
-    return k, k.tolist(), dp.dx.tolist()
-
-
-def _left_coefficients(k, dx, E, stop=1):
-    """Backward recursion for step coefficients R_j, T_j (j = N..stop)."""
+def _left_coefficients(k, dx, E, steps):
+    """Backward recursion for step coefficients R_j, T_j over the last
+    `steps` steps (j = N..N + 1 - steps); the rest stay 0."""
     N = len(k) - 1
     R = [0j] * (N + 2)
     T = [0j] * (N + 1)
     exp = cmath.exp
-    for j in range(N, stop - 1, -1):
+    for j in range(N, N - steps, -1):
         ka = k[j - 1]
         kb = k[j]
         rnext = R[j + 1]
@@ -109,25 +102,38 @@ def _left_coefficients(k, dx, E, stop=1):
     return R, T
 
 
-def _left_solution(k, dx, E):
-    """R, T, A, B of the left-incidence solution, as lists: A_0 = 1,
-    A_j = A_{j-1} T_j and B_j = A_j R_{j+1}."""
-    R, T = _left_coefficients(k, dx, E)
-    A = list(accumulate(T[1:], mul, initial=1.0 + 0j))
-    B = [a * r for a, r in zip(A, R[1:])]
-    return R, T, A, B
+def coefficients(dp: DiscretizedPotential, E: float, ctx: ParticleContext,
+                 lo: int = 0, hi: int | None = None):
+    """Step coefficients of both directions at energy E, as lists.
 
-
-def _mirrored(left, k, dx, E, *args):
-    """`left` run on the mirrored grid, which makes it the right recursion.
-
-    Step j' of the mirrored grid is step N + 1 - j' of the grid, and a
-    singular step is reported under that number.
+    Runs the left recursion down to step lo + 1 and the right one up to
+    step hi (default N).  Returns (k, R, T, Rbar, Tbar) indexed as in
+    LeftSweep and RightSweep, k as an array; entries not reached are 0.
+    A singular step is reported under its grid number where one runs.
     """
+    if not math.isfinite(E):
+        raise nonfinite_energy(E)
+    N = dp.n_steps
+    hi = N if hi is None else hi
+    k = step_wavevectors(E, dp.u, ctx.phi)
+    kl, dx = k.tolist(), dp.dx.tolist()
+    R, T = _left_coefficients(kl, dx, E, N - lo)
+    if hi == 0:
+        return k, R, T, [0j] * (N + 1), [0j] * (N + 1)
+    # The right recursion: the left one on the mirrored grid, whose step j is N + 1 - j.
     try:
-        return left(k[::-1], dx[::-1], E, *args)
+        Rm, Tm = _left_coefficients(kl[::-1], dx[::-1], E, hi)
     except NumericalSingularityError as exc:
-        raise NumericalSingularityError(E, len(k) - exc.step) from None
+        raise NumericalSingularityError(E, N + 1 - exc.step) from None
+    Rbar, Tbar = (v[:0:-1] for v in (Rm, Tm + [0j]))  # Tbar_0 = 0
+    return k, R, T, Rbar, Tbar
+
+
+def _walk(T, R):
+    """Amplitudes A_0 = 1, A_j = A_{j-1} T_j and B_j = A_j R_{j+1}, with T
+    and R in walk order from the incidence side."""
+    A = list(accumulate(T, mul, initial=1.0 + 0j))
+    return A, [a * r for a, r in zip(A, R)]
 
 
 def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> LeftSweep:
@@ -136,8 +142,8 @@ def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Left
     Computes R_j, T_j backward from the right boundary (R_{N+1} = 0), then
     the amplitudes forward: A_j = A_{j-1} T_j with A_0 = 1, B_j = A_j R_{j+1}.
     """
-    k, kl, dx = _scalar_grid(dp, E, ctx)
-    R, T, A, B = _left_solution(kl, dx, E)
+    k, R, T, _, _ = coefficients(dp, E, ctx, 0, 0)
+    A, B = _walk(T[1:], R[1:])
     return LeftSweep(E=E, k=k, R=np.array(R), T=np.array(T),
                      A=np.array(A), B=np.array(B))
 
@@ -145,45 +151,15 @@ def left_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> Left
 def right_sweep(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> RightSweep:
     """Full right-incidence solution at energy E.
 
-    This is the left-incidence solution of the mirrored grid, read back in
-    grid order: Rbar_j, Tbar_j run forward from the left boundary
-    (Rbar_0 = 0), the amplitudes backward: D_j = D_{j+1} Tbar_j with
-    D_{N+1} = 1, C_j = D_j Rbar_{j-1}.
+    Rbar_j, Tbar_j run forward from the left boundary (Rbar_0 = 0), the
+    amplitudes backward: D_j = D_{j+1} Tbar_j with D_{N+1} = 1,
+    C_j = D_j Rbar_{j-1}.
     """
-    k, kl, dx = _scalar_grid(dp, E, ctx)
-    R, T, A, B = _mirrored(_left_solution, kl, dx, E)
-    return RightSweep(E=E, k=k, Rbar=np.array(R[:0:-1]),
-                      Tbar=np.array([0j] + T[:0:-1]), C=np.array([0j] + B[::-1]),
-                      D=np.array([0j] + A[::-1]))
-
-
-def reflection_coefficients(dp: DiscretizedPotential, E: float, ctx: ParticleContext):
-    """Both directions' step coefficients without amplitude arrays.
-
-    Returns (k, R, T, Rbar, Tbar) as numpy arrays indexed as in LeftSweep
-    and RightSweep; this is the cheap pass the bound-state mismatch
-    functional and the eigenfunction need, skipping A/B/C/D entirely.
-    """
-    k, kl, dx = _scalar_grid(dp, E, ctx)
-    R, T = (np.array(v, dtype=complex) for v in _left_coefficients(kl, dx, E))
-    Rm, Tm = _mirrored(_left_coefficients, kl, dx, E)
-    return (k, R, T, np.array(Rm[:0:-1], dtype=complex),
-            np.array([0j] + Tm[:0:-1], dtype=complex))
-
-
-def matching_phase(dp: DiscretizedPotential, E: float, ctx: ParticleContext, h: int) -> float:
-    """theta = arg(Rbar_h R_{h+1} e^{-2ik_h dx_h}), the bound-state matching
-    phase at step h, from two half sweeps and no arrays.
-
-    The left recursion runs down to step h + 1 and the right one up to
-    step h, N steps in all where reflection_coefficients runs 2N.  So a
-    singular denominator is reported only where the left recursion meets
-    it above step h or the right one at or below it.
-    """
-    k, kl, dx = _scalar_grid(dp, E, ctx)
-    R, _ = _left_coefficients(kl, dx, E, h + 1)
-    Rm, _ = _mirrored(_left_coefficients, kl, dx, E, len(kl) - h)  # Rbar_j = Rm[N + 1 - j]
-    return cmath.phase(Rm[-1 - h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
+    N = dp.n_steps
+    k, _, _, Rbar, Tbar = coefficients(dp, E, ctx, N, N)
+    D, C = _walk(reversed(Tbar[1:]), reversed(Rbar))
+    return RightSweep(E=E, k=k, Rbar=np.array(Rbar), Tbar=np.array(Tbar),
+                      C=np.array([0j] + C[::-1]), D=np.array([0j] + D[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -610,6 +610,9 @@ PROBLEM_CASES = [
      ["'task.energies' must be a nonempty list of numbers"]),
     ("wavefunc-energies-number", "wavefunc", {"task.energies": 0.3},
      ["'task.energies' must be a nonempty list of numbers"]),
+    ("wavefunc-energies-one-name", "wavefunc", {"task.energies": [0.5000001, 0.5000002]},
+     ["'task.energies' values [0.5000001, 0.5000002] share the output name "
+      "'wavefunction_E0.5'"]),
     ("wavefunc-oversample-zero", "wavefunc", {"task.oversample": 0},
      ["'task.oversample' must be an integer >= 1, got 0"]),
     ("wavefunc-oversample-float", "wavefunc", {"task.oversample": 1.5},
@@ -663,6 +666,9 @@ PROBLEM_CASES = [
      ["'task.times' must be a nonempty list of times >= 0 (fs)"]),
     ("packet-empty-times", "packet", {"task.times": []},
      ["'task.times' must be a nonempty list of times >= 0 (fs)"]),
+    ("packet-times-one-name", "packet", {"task.times": [10.0000001, 10.0000002, 10.0000002]},
+     ["'task.times' values [10.0000001, 10.0000002, 10.0000002] share the output name "
+      "'packet_t10'"]),
     ("packet-samples-list", "packet", {"task.samples": [-4.0, 4.0, 9]},
      ["'task.samples' must be {xmin, xmax, n} with xmin < xmax"]),
     ("packet-samples-unknown-key", "packet", {"task.samples.dx": 1.0},
@@ -781,6 +787,16 @@ def test_bad_values_are_config_errors(table_dir, capsys, changes, expected):
     path = write_config(table_dir, bad_doc("transmit", changes))
     assert cli.main([str(path), "--validate-only"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {p}" for p in expected]
+
+
+@pytest.mark.parametrize("case", ["wavefunc-energies-one-name", "packet-times-one-name"])
+def test_output_name_collisions_fail_validation(table_dir, capsys, case):
+    _, ttype, changes, [problem] = next(c for c in PROBLEM_CASES if c[0] == case)
+    path = write_config(table_dir, bad_doc(ttype, changes))
+    assert cli.main([str(path), "--validate-only"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+    assert cli.main([str(path)]) == 2
+    assert not (table_dir / "out").exists()
 
 
 def test_eigen_needs_ascending_energies(tmp_path):

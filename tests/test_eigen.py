@@ -23,7 +23,7 @@ from qsweep import (
 )
 from qsweep.eigen import golden_section_minimize
 from qsweep.errors import InvalidEigenvalueError
-from qsweep.recursion import reflection_coefficients
+from qsweep.recursion import coefficients
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -254,18 +254,21 @@ class TestFindEigenvalues:
 
     def test_phase_refinement_runs_no_full_sweep(self, well, electron, golden_calls,
                                                  monkeypatch):
-        # The full two-direction sweep runs once per level, for the residual
-        # f at its root; theta comes from half sweeps only.
-        swept = []
+        # Both recursions run in full once per level, for the residual f at
+        # its root; theta and the eigenfunction run the half sweeps only.
+        full = []
 
-        def counted(dp, E, ctx):
-            swept.append(E)
-            return reflection_coefficients(dp, E, ctx)
+        def counted(dp, E, ctx, lo=0, hi=None):
+            if (lo, hi) in ((0, None), (0, dp.n_steps)):
+                full.append(E)
+            return coefficients(dp, E, ctx, lo, hi)
 
-        monkeypatch.setattr(eigen, "reflection_coefficients", counted)
+        monkeypatch.setattr(eigen, "coefficients", counted)
         found = find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-9)
+        for cand in found:
+            eigenfunction(well, cand.energy, electron)
         assert golden_calls == []
-        assert swept == [c.energy for c in found] and len(found) == 4
+        assert full == [c.energy for c in found] and len(found) == 4
 
     def test_double_well_level_without_phase_bracket(self, golden_calls):
         # The right-well search of the double well also dips at a left-well
@@ -290,7 +293,7 @@ class TestEigenfunction:
             pair = eigenfunction(well, cand.energy, electron)
             norm = float(np.sum(np.abs(pair.psi) ** 2 * well.dx))
             assert norm == pytest.approx(1.0, abs=1e-9)
-            assert pair.residual == pytest.approx(cand.residual, rel=1e-6, abs=1e-12)
+            assert mismatch(well, pair.energy, electron) == cand.residual
 
     def test_sturm_node_counts(self, well, well_states, electron):
         for nu, cand in enumerate(well_states, start=1):

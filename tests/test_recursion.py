@@ -20,7 +20,7 @@ from qsweep import (
 )
 from qsweep import recursion
 from qsweep.errors import NumericalSingularityError
-from qsweep.recursion import _left_coefficients, matching_phase, reflection_coefficients
+from qsweep.recursion import _left_coefficients, coefficients
 from test_batched import cancelling_wavevectors, first_scalar_error, marked_potential
 
 
@@ -198,23 +198,34 @@ def test_singularity_guard_raises():
     # Crafted wavevectors (not reachable from the principal branch) that
     # cancel the first denominator exactly.
     with pytest.raises(NumericalSingularityError) as err:
-        _left_coefficients([1.0 + 0j, -1.0 + 0j], [0.1, 0.1], 0.5)
+        _left_coefficients([1.0 + 0j, -1.0 + 0j], [0.1, 0.1], 0.5, 1)
     assert err.value.step == 1
 
 
-class TestMatchingPhase:
-    """theta from the two half sweeps against theta from the full ones."""
+class TestCoefficients:
+    """The half sweeps of `coefficients` against the full ones."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(21, 80), above=st.booleans(),
+    @settings(max_examples=25, deadline=None)  # each runs every (lo, hi), O(N^3) steps
+    @given(seed=st.integers(0, 2**32 - 1), N=st.integers(20, 30), above=st.booleans(),
            gap=st.floats(1e-3, 1.0))
-    def test_equals_the_phase_of_the_full_sweeps(self, electron, seed, N, above, gap):
+    def test_halves_equal_the_full_sweeps(self, electron, seed, N, above, gap):
         dp = random_structure(np.random.default_rng(seed), N=N)
         E = float(dp.u.max() + (gap if above else -1.4 * gap))
-        k, R, _, Rbar, _ = reflection_coefficients(dp, E, electron)
-        for h in range(N + 1):
-            full = cmath.phase(Rbar[h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
-            assert matching_phase(dp, E, electron, h) == full  # bit for bit
+        k, R, T, Rbar, Tbar = coefficients(dp, E, electron)
+        ls, rs = left_sweep(dp, E, electron), right_sweep(dp, E, electron)
+        for full, sweep in ((R, ls.R), (T, ls.T), (Rbar, rs.Rbar), (Tbar, rs.Tbar)):
+            assert np.array(full).tobytes() == sweep.tobytes()
+        # Rbar and Tbar are the left recursion's R and T on the mirrored grid.
+        _, Rm, Tm, _, _ = coefficients(mirrored(dp), E, electron)
+        assert (Rbar, Tbar) == (Rm[:0:-1], [0j] + Tm[:0:-1])
+        for lo in range(N + 1):
+            for hi in range(lo, N + 1):
+                kh, Rh, Th, Rbarh, Tbarh = coefficients(dp, E, electron, lo, hi)
+                assert kh.tobytes() == k.tobytes()
+                assert (Rh[lo + 1:], Th[lo + 1:]) == (R[lo + 1:], T[lo + 1:])
+                assert (Rbarh[:hi + 1], Tbarh[:hi + 1]) == (Rbar[:hi + 1], Tbar[:hi + 1])
+                assert Rh[:lo + 1] == Th[:lo + 1] == [0j] * (lo + 1)
+                assert Rbarh[hi + 1:] == Tbarh[hi + 1:] == [0j] * (N - hi)
 
     # marked_potential(node) at E = 0.5 is singular in the left recursion at
     # step node + 1 (not with the barrier right of the node) and in the
@@ -238,14 +249,15 @@ class TestMatchingPhase:
             elif right.step <= h:
                 expected = right
             else:
-                # A singular step outside both halves no longer stops theta;
-                # the residual sweep at the refined energy still raises there.
-                assert math.isfinite(matching_phase(dp, 0.5, electron, h))
+                # A singular step outside both halves does not stop them;
+                # the full sweep of f at the same energy still raises there.
+                _, R, _, Rbar, _ = coefficients(dp, 0.5, electron, h, h)
+                assert all(map(cmath.isfinite, R + Rbar))
                 expected = left if left is not None else right
                 with pytest.raises(NumericalSingularityError) as err:
                     mismatch(dp, 0.5, electron)
                 assert (err.value.energy, err.value.step) == (0.5, expected.step)
                 return
             with pytest.raises(NumericalSingularityError) as err:
-                matching_phase(dp, 0.5, electron, h)
+                coefficients(dp, 0.5, electron, h, h)
             assert (err.value.energy, err.value.step) == (0.5, expected.step)
