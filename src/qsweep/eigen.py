@@ -9,15 +9,19 @@ every classically allowed step.  The mismatch functional
 is nonnegative and dips to zero exactly at the eigenvalues.  Restricting
 the sum to a sub-interval drops other wells' terms, but does not confine
 the search to one well: a level of any well zeroes every term of f.
-A scan of f(E) finds the dips; each is refined on the matching
-phase at one step h,
+Sturm's oscillation theorem decides what a level is: the zeros of the
+solution that decays to the left number the levels below E, and each step
+gives its share from Rbar_j alone (`_count`).  The count at the edges of
+the cells that a scan of f(E) marks out says how many levels each cell
+holds.  A cell with one level is refined on the matching phase at one
+step h,
 
     theta(E) = arg(Rbar_h R_{h+1} e^{-2ik_h dx_h}),
 
 which crosses zero at the level, by Illinois regula falsi (Dowell &
-Jarratt, BIT 11, 1971).  theta needs only R_{h+1} and Rbar_h, so it comes
-from two half sweeps, N steps in all.  Golden-section search on f is the
-fallback for a dip where theta cannot bracket a level.
+Jarratt, BIT 11, 1971); theta needs only R_{h+1} and Rbar_h, so it comes
+from two half sweeps, N steps in all.  Any other cell is bisected on the
+count.  The search window starts at the lowest U inside the interval.
 """
 
 from __future__ import annotations
@@ -25,20 +29,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .constants import ParticleContext
+from .constants import DEGENERACY_NUDGE_EV, ParticleContext
 from .errors import InvalidEigenvalueError
 from .potential import DiscretizedPotential
 from .recursion import coefficients, mismatch_sweep, nonfinite_energy
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# A refined dip counts as an eigenvalue when its f value is this far below
-# the typical (median) f of the scan: true dips are orders of magnitude
-# deep, and a relative criterion is grid- and potential-independent.
-ACCEPT_FRACTION_OF_MEDIAN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class MismatchCurve:
 
 @dataclass(frozen=True)
 class EigenvalueCandidate:
-    """A refined dip: energy, residual f value, half-bracket uncertainty."""
+    """A level: energy, residual f value there, half-bracket uncertainty."""
 
     energy: float
     residual: float
@@ -74,7 +72,10 @@ def _interval_nodes(dp: DiscretizedPotential, interval) -> np.ndarray:
     a, b = interval
     if not a < b:
         raise ValueError(f"interval must satisfy a < b, got ({a!r}, {b!r})")
-    return (dp.x >= a) & (dp.x <= b)
+    inside = (dp.x >= a) & (dp.x <= b)
+    if not inside.any():
+        raise ValueError(f"interval ({a!r}, {b!r}) holds no grid node")
+    return inside
 
 
 def _allowed_mask(dp: DiscretizedPotential, E: float, interval) -> np.ndarray:
@@ -122,44 +123,6 @@ def mismatch_curve(dp: DiscretizedPotential, Egrid, ctx: ParticleContext,
     return MismatchCurve(E=E, f=f, interval=tuple(interval) if interval else None)
 
 
-def _check_tol(tol) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
-def golden_section_minimize(fn, a: float, b: float, tol: float):
-    """Golden-section search for the minimum of a unimodal fn on [a, b].
-
-    Derivative-free, so it handles the cusp-shaped dips of the mismatch
-    functional.  Stops when the bracket is at most tol wide, or when
-    rounding no longer puts both interior points strictly inside it (a tol
-    below the float spacing).  Returns (best_x, best_f, half_bracket) where
-    half_bracket is half the final bracket width.
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got {a!r} >= {b!r}")
-    _check_tol(tol)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc = fn(c)
-    fd = fn(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = fn(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = fn(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f, 0.5 * (b - a)
-
-
 def _phase_root(theta, a: float, b: float, tol: float):
     """Illinois regula falsi for the zero of theta on [a, b].
 
@@ -202,61 +165,90 @@ def _theta(dp: DiscretizedPotential, E: float, ctx: ParticleContext, h: int) -> 
     return cmath.phase(Rbar[h] * R[h + 1] * cmath.exp(-2j * k[h] * dp.dx[h]))
 
 
+def _count(dp: DiscretizedPotential, E: float, ctx: ParticleContext) -> int:
+    """Sturm's count: the zeros of the solution that decays to the left,
+    which number the levels below E (Pruess & Fulton, ACM TOMS 19, 1993).
+
+    On step j that solution is Rbar_j e^{ik_j s} + e^{-ik_j s} with s in
+    [-dx_j, 0).  An allowed step holds floor((2k dx + pi - arg Rbar)/2pi)
+    zeros; a forbidden one (k = i kappa) holds one if -Re Rbar lies in
+    [e^{-2 kappa dx}, 1), and the right half-space, step N, one if it is at
+    least e^{-2 kappa dx}.  -Re Rbar must also be > 0: under a steep wall
+    Rbar is exactly 0 and e^{-2 kappa dx} underflows to 0.  Step 0, the left
+    half-space, holds none.  Valid below both ends of the potential.
+    """
+    N = dp.n_steps
+    k, _, _, Rbar, _ = coefficients(dp, E, ctx, N, N)
+    kdx = k[1:] * dp.dx[1:]
+    rbar = np.array(Rbar[1:])
+    waves = np.floor((2.0 * kdx.real + math.pi - np.angle(rbar)) / (2.0 * math.pi))
+    q = -rbar.real
+    decays = (q > 0.0) & (q >= np.exp(-2.0 * kdx.imag))
+    decays[:-1] &= q[:-1] < 1.0
+    return int(np.where(kdx.imag > 0.0, decays, waves).sum())
+
+
 def find_eigenvalues(dp: DiscretizedPotential, Emin: float, Emax: float, N_E: int,
                      ctx: ParticleContext, interval=None,
                      refine_tol: float | None = None) -> list[EigenvalueCandidate]:
-    """Scan f(E) on a uniform grid, refine every dip, keep the deep ones.
+    """Every level in the window, found by Sturm's count and refined.
 
-    Strict local minima of the sampled curve are bracketed by their
-    neighbors.  Both neighbors must be finite: a minimum against the
-    empty-allowed-set sentinel marks the opening of the classically allowed
-    region, where the functional is discontinuous, not a bound state.  Each
-    bracket is refined to `refine_tol` (default: one hundredth of the scan
-    step) on the matching phase theta(E) at the step h of minimum potential
-    inside the interval, the step `eigenfunction` matches at; theta comes
-    from two half sweeps that meet at h.  Where theta does not change sign
-    over the bracket, or f at its root is not deep enough, golden-section
-    search on f refines the bracket instead.  A refined dip is accepted
-    when its f value falls below ACCEPT_FRACTION_OF_MEDIAN times the
-    median finite f of the scan.
+    The window is [Emin, Emax] clipped from below to the lowest U inside the
+    interval, so every level has an allowed node there, and from above to
+    just under both ends of the potential, where the count holds.  A scan
+    of f(E) on a uniform grid of N_E energies marks the strict minima; the
+    window ends and the scan neighbors of every minimum cut the window into
+    cells, and `_count` at the cell edges says how many levels each holds.
+    A cell with one level, narrower than three scan steps, is refined to
+    `refine_tol` (default: one hundredth of the scan step) on the matching
+    phase theta(E) at the step h of minimum potential inside the interval,
+    the step `eigenfunction` matches at.  A root is kept only where
+    |theta| < pi/2: a jump across the +-pi cut is no level.  Every other
+    cell with levels is bisected on the count down to `refine_tol`.
     """
     if not Emin < Emax:
         raise ValueError(f"need Emin < Emax, got {Emin!r} >= {Emax!r}")
     if N_E < 3:
         raise ValueError(f"need N_E >= 3, got {N_E!r}")
-    if refine_tol is not None:
-        _check_tol(refine_tol)
+    if refine_tol is not None and not 0.0 < refine_tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {refine_tol!r}")
+    inside = _interval_nodes(dp, interval)
     grid = np.linspace(Emin, Emax, N_E)
     dE = grid[1] - grid[0]
     tol = refine_tol if refine_tol is not None else dE / 100.0
-    curve = mismatch_curve(dp, grid, ctx, interval)
-    f = curve.f
-
-    finite = f[np.isfinite(f)]
-    if finite.size == 0:
+    lo = max(Emin, float(dp.u[inside].min()))
+    top = min(Emax, min(dp.u[0], dp.u[-1]) - 2.0 * DEGENERACY_NUDGE_EV)
+    if not lo < top:
         return []
-    threshold = ACCEPT_FRACTION_OF_MEDIAN * float(np.median(finite))
-    h = _match_step(dp, _interval_nodes(dp, interval))
+    f = mismatch_curve(dp, grid, ctx, interval).f
+    dips = np.flatnonzero((f[1:-1] < f[:-2]) & (f[1:-1] < f[2:]))
+    edges = np.concatenate(([lo, top], grid[dips], grid[dips + 2]))
+    edges = np.unique(edges[(lo <= edges) & (edges <= top)])
+    h = _match_step(dp, inside)
+    count = cache(lambda E: _count(dp, E, ctx))
+    theta = cache(lambda E: _theta(dp, E, ctx, h))
+    levels = []
 
-    # Successive strict minima have brackets that at most touch, so the
-    # levels come out in energy order.
-    candidates = []
-    for i in range(1, N_E - 1):
-        if not (math.isfinite(f[i - 1]) and math.isfinite(f[i + 1])):
-            continue
-        if f[i] < f[i - 1] and f[i] < f[i + 1]:
-            a, b = grid[i - 1], grid[i + 1]
-            root = _phase_root(lambda E: _theta(dp, E, ctx, h), a, b, tol)
-            if root is not None:
-                e_best, half = root
-                f_best = mismatch(dp, e_best, ctx, interval)
-            if root is None or not f_best < threshold:
-                e_best, f_best, half = golden_section_minimize(
-                    lambda E: mismatch(dp, E, ctx, interval), a, b, tol
-                )
-            if f_best < threshold:
-                candidates.append(EigenvalueCandidate(e_best, f_best, half))
-    return candidates
+    def search(a, b):
+        rise = count(b) - count(a)
+        if rise <= 0:
+            return
+        if rise == 1 and b - a < 3.0 * dE:
+            root = _phase_root(theta, a, b, tol)
+            if root is not None and abs(theta(root[0])) < math.pi / 2:
+                levels.append(root)
+                return
+        m = 0.5 * (a + b)
+        if b - a > tol and a < m < b:
+            search(a, m)
+            search(m, b)
+        else:  # the bracket is down to tol or to the float spacing
+            levels.extend([(m, 0.5 * (b - a))] * rise)
+
+    for a, b in zip(edges[:-1], edges[1:]):
+        search(float(a), float(b))
+    return [EigenvalueCandidate(E, mismatch(dp, E, ctx, interval), half)
+            for E, half in levels]
 
 
 def eigenfunction(dp: DiscretizedPotential, energy: float, ctx: ParticleContext,

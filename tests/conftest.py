@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsweep import ParticleContext
+from qsweep import ParticleContext, transmission_curve
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +29,15 @@ def derivative_mismatch_at_match(dp, energy, ctx, h):
     dh = (1.0 + ls.R[h + 1]) / (1.0 + rs.Rbar[h - 1])
     d_left = 1j * ls.k[h - 1] * dh * (rs.Rbar[h - 1] - 1.0)
     return abs(d_right - d_left) / max(abs(d_right), abs(d_left))
+
+
+def transmission_peak(dp, lo, hi, ctx, tol=1e-9):
+    """(E, T) at the largest transmission in [lo, hi]: a 101-energy
+    transmission_curve grid is zoomed onto its argmax and that point's
+    neighbors until the bracket is at most tol wide."""
+    while True:
+        curve = transmission_curve(dp, np.linspace(lo, hi, 101), ctx)
+        i = int(np.argmax(curve.T))
+        if hi - lo <= tol:
+            return float(curve.E[i]), float(curve.T[i])
+        lo, hi = curve.E[max(i - 1, 0)], curve.E[min(i + 1, 100)]

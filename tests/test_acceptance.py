@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import count_interior_nodes, derivative_mismatch_at_match
+from conftest import count_interior_nodes, derivative_mismatch_at_match, transmission_peak
 from qsweep import (
     REFERENCE_DOUBLE_BARRIER,
     DiscretizedPotential,
@@ -31,7 +31,6 @@ from qsweep import (
     transmission_curve,
 )
 from qsweep.constants import HBAR, phi_factor
-from qsweep.eigen import golden_section_minimize
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -93,8 +92,8 @@ def resonance_run(electron):
     def t_of(E: float) -> float:
         return transmission(left_sweep(dp, E, electron))[0]
 
-    e_res, neg_t, _ = golden_section_minimize(lambda E: -t_of(E), 0.06, 0.075, 1e-9)
-    return dp, t_of, e_res, -neg_t
+    e_res, t_peak = transmission_peak(dp, 0.06, 0.075, electron)
+    return dp, t_of, e_res, t_peak
 
 
 @pytest.fixture(scope="module")

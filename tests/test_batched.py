@@ -108,7 +108,13 @@ def test_mismatch_curve_matches_scalar(dp, data, electron):
     assert_mismatch_matches(dp, grid, electron)
     a = data.draw(st.floats(dp.x[0], dp.x[-1]))
     b = data.draw(st.floats(a, dp.x[-1] + 1.0).filter(lambda v: v > a))
-    assert_mismatch_matches(dp, grid, electron, (a, b))
+    if np.any((dp.x >= a) & (dp.x <= b)):
+        assert_mismatch_matches(dp, grid, electron, (a, b))
+    else:  # an interval between two nodes is refused
+        with pytest.raises(ValueError, match="holds no grid node"):
+            mismatch_curve(dp, grid, electron, (a, b))
+        with pytest.raises(ValueError, match="holds no grid node"):
+            mismatch(dp, float(grid[0]), electron, (a, b))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 6, 10, 15, 48])

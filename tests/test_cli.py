@@ -234,12 +234,17 @@ class TestFofeAndEigenTasks:
             norm = sum(r[3] for r in wf_rows) * (4.0 / 200)
             assert norm == pytest.approx(1.0, abs=1e-6)
 
-    def test_eigen_interval_key(self, tmp_path):
+    def test_eigen_interval_key(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = self.well_config(out, {"type": "eigen", "Emin": -0.99, "Emax": -0.01,
                                      "N_E": 120, "interval": [-2.0, 0.5]})
         assert cli.main([str(write_config(tmp_path, doc)), "--quiet"]) == 0
         assert (out / "eigenvalues.csv").exists()
+        for ttype in ("eigen", "fofe"):  # past the grid's end: no node inside
+            doc["task"].update(type=ttype, interval=[5.0, 6.0])
+            assert cli.main([str(write_config(tmp_path, doc)), "--quiet"]) == 3
+            assert capsys.readouterr().err == (
+                "numerical error: interval (5.0, 6.0) holds no grid node\n")
 
 
 class TestPacketTask:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_interior_nodes, derivative_mismatch_at_match
@@ -21,7 +21,7 @@ from qsweep import (
     mismatch_curve,
     oracle,
 )
-from qsweep.eigen import golden_section_minimize
+from qsweep.eigen import _count
 from qsweep.errors import InvalidEigenvalueError
 from qsweep.recursion import coefficients
 
@@ -39,27 +39,55 @@ def well_states(well, electron):
     return find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-9)
 
 
-@pytest.fixture
-def golden_calls(monkeypatch):
-    """The results of every golden-section search find_eigenvalues runs."""
-    results = []
-
-    def recorded(*args):
-        results.append(golden_section_minimize(*args))
-        return results[-1]
-
-    monkeypatch.setattr(eigen, "golden_section_minimize", recorded)
-    return results
+def config_run(name):
+    """The grid, particle and task of configs/<name>.json."""
+    path = CONFIGS / f"{name}.json"
+    cfg = cli.parse_config(json.loads(path.read_text(encoding="utf-8")), path.parent)
+    return discretize(cfg.spec, cfg.x0, cfg.xN, cfg.N), cfg.ctx, cfg.task
 
 
 def config_levels(name):
     """find_eigenvalues run as the eigen task of configs/<name>.json runs it."""
-    path = CONFIGS / f"{name}.json"
-    cfg = cli.parse_config(json.loads(path.read_text(encoding="utf-8")), path.parent)
-    task = cfg.task
-    dp = discretize(cfg.spec, cfg.x0, cfg.xN, cfg.N)
-    return find_eigenvalues(dp, task["Emin"], task["Emax"], task["N_E"], cfg.ctx,
+    dp, ctx, task = config_run(name)
+    return find_eigenvalues(dp, task["Emin"], task["Emax"], task["N_E"], ctx,
                             interval=task["interval"], refine_tol=task["refine_tol"])
+
+
+def two_wells(right="-0.6", left="-1.0"):
+    """Wells of depth `left` on [-3, -1] nm and `right` on [1, 3] nm behind a
+    50 eV wall, on 501 nodes over [-5, 5] nm; the exp(-73) coupling through
+    the wall leaves each well's levels those of the well alone."""
+    pieces = [(-math.inf, -3.0, "0"), (-3.0, -1.0, left), (-1.0, 1.0, "50"),
+              (1.0, 3.0, right), (3.0, math.inf, "0")]
+    return discretize(make_expression(pieces), -5, 5, 500)
+
+
+def finite_difference_count(dp, ctx, E):
+    """The eigenvalues below E of the 3-point finite-difference Hamiltonian
+    -psi''/phi^2 + U psi on the nodes of a uniform grid, with psi = 0 past
+    its ends: the negative pivots of the LDL^T factors of H - E
+    (Sylvester's law of inertia)."""
+    c = 1.0 / (ctx.phi * dp.dx[0]) ** 2
+    negative, coupling = 0, 0.0
+    for u in dp.u:
+        pivot = u + 2.0 * c - E - coupling
+        negative += pivot < 0.0
+        coupling = c * c / pivot
+    return negative
+
+
+@st.composite
+def step_tables(draw):
+    """6-11 steps of -0.5..0.3 eV between random cuts in [-3.5, 3.5] nm,
+    U = 0 outside, on 201 nodes over [-5, 5] nm."""
+    n = draw(st.integers(6, 11))
+    cuts = sorted(draw(st.lists(st.floats(-3.5, 3.5), min_size=n + 1, max_size=n + 1)))
+    values = draw(st.lists(st.floats(-0.5, 0.3), min_size=n, max_size=n))
+    x = np.linspace(-5.0, 5.0, 201)
+    u = np.zeros(201)
+    for a, b, v in zip(cuts[:-1], cuts[1:], values):
+        u[(x >= a) & (x < b)] = v
+    return DiscretizedPotential(x=x, u=u, dx=np.full(201, 0.05))
 
 
 def binary_square_well(V0, cells):
@@ -106,28 +134,6 @@ class TestMismatch:
             assert f_at < 1e-6 * med
 
 
-class TestGoldenSection:
-    def test_finds_parabola_minimum(self):
-        x, fx, half = golden_section_minimize(lambda x: (x - 0.3) ** 2, -1, 1, 1e-9)
-        assert x == pytest.approx(0.3, abs=1e-8)
-        assert half <= 5e-10
-
-    def test_handles_cusp(self):
-        x, fx, _ = golden_section_minimize(lambda x: abs(x - 0.123), 0, 1, 1e-10)
-        assert x == pytest.approx(0.123, abs=1e-9)
-
-    def test_validates_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section_minimize(lambda x: x, 1.0, 0.0, 1e-3)
-
-    def test_tolerance_below_float_spacing_returns(self):
-        # The bracket cannot shrink below the float spacing around 0.3;
-        # the search stops there and reports the half-bracket it reached.
-        x, fx, half = golden_section_minimize(lambda x: abs(x - 0.3), 0.2, 0.4, 1e-20)
-        assert x == pytest.approx(0.3, abs=1e-15)
-        assert 1e-20 < half <= math.ulp(0.3)
-
-
 class TestFindEigenvalues:
     def test_matches_transcendental_roots(self, well_states, electron):
         exact = oracle.finite_well_eigenvalues(1.0, 1.0, electron)
@@ -165,38 +171,39 @@ class TestFindEigenvalues:
         assert g8[0].energy > g0[0].energy
 
     def test_interval_split_matches_isolated_well(self, electron):
-        # Two wells separated by an impenetrable wall: the interval-restricted
-        # search of the composite must reproduce the spectrum of the left well
-        # solved on its own (the exp(-73) coupling through the wall is far
-        # below machine precision, so the wells are numerically independent).
-        composite = [
-            (-math.inf, -3.0, "0"),
-            (-3.0, -1.0, "-1.0"),
-            (-1.0, 1.0, "50"),
-            (1.0, 3.0, "-0.6"),
-            (3.0, math.inf, "0"),
-        ]
-        alone = [
-            (-math.inf, -3.0, "0"),
-            (-3.0, -1.0, "-1.0"),
-            (-1.0, 1.0, "50"),
-            (1.0, math.inf, "0"),
-        ]
+        # An interval sets the window floor and the f terms, not which well's
+        # levels are listed: the search over the left well of two lists the
+        # levels of both, each as the well solved alone has it.
         tol = 1e-8
-        dp = discretize(make_expression(composite), -5, 5, 500)
-        dp_alone = discretize(make_expression(alone), -5, 5, 500)
+        dp = two_wells()
         restricted = find_eigenvalues(
             dp, -0.99, -0.01, 300, electron, interval=(-5.0, -1.0), refine_tol=tol
         )
-        isolated = find_eigenvalues(dp_alone, -0.99, -0.01, 300, electron, refine_tol=tol)
-        assert len(restricted) == len(isolated) > 0
-        for a, b in zip(restricted, isolated):
-            assert abs(a.energy - b.energy) <= tol
-        # Full-grid dips of the composite (those the left-well floor does not
-        # drown) sit at the same energies as the restricted search finds.
+        alone = [find_eigenvalues(two_wells(**{side: "0"}), -0.99, -0.01, 300, electron,
+                                  refine_tol=tol) for side in ("right", "left")]
+        isolated = sorted(c.energy for found in alone for c in found)
+        assert len(alone[0]) == 3 and len(alone[1]) == 2 and len(restricted) == 5
+        for cand, e in zip(restricted, isolated):
+            assert abs(cand.energy - e) <= 2 * tol
+            assert math.isfinite(cand.residual)
         full = find_eigenvalues(dp, -0.99, -0.01, 300, electron, refine_tol=tol)
-        for cand in full:
-            assert min(abs(cand.energy - r.energy) for r in restricted) <= tol
+        assert len(full) == len(restricted)
+        for a, b in zip(full, restricted):
+            assert abs(a.energy - b.energy) <= 2 * tol
+
+    def test_window_floor_is_the_lowest_potential_in_the_interval(self, electron):
+        dp = two_wells()
+        interval = (1.0, 5.0)  # the right well, floor -0.6 eV
+        found = find_eigenvalues(dp, -0.99, -0.01, 300, electron, interval=interval,
+                                 refine_tol=1e-8)
+        everywhere = find_eigenvalues(dp, -0.99, -0.01, 300, electron, refine_tol=1e-8)
+        above = [c.energy for c in everywhere if c.energy > -0.6]
+        assert len(above) < len(everywhere)
+        assert [c.energy for c in found] == pytest.approx(above, abs=2e-8)
+        for cand in found:
+            assert cand.energy > -0.6 and math.isfinite(cand.residual)
+            pair = eigenfunction(dp, cand.energy, electron, interval=interval)
+            assert float(np.sum(np.abs(pair.psi) ** 2 * dp.dx)) == pytest.approx(1.0)
 
     def test_validates_arguments(self, well, electron):
         with pytest.raises(ValueError):
@@ -206,6 +213,8 @@ class TestFindEigenvalues:
         for tol in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=tol)
+        with pytest.raises(ValueError, match="holds no grid node"):
+            find_eigenvalues(well, -0.999, -1e-4, 300, electron, interval=(5.0, 6.0))
 
     def test_checks_tolerance_before_the_scan(self, well, electron, monkeypatch):
         def no_scan(*args):
@@ -225,7 +234,7 @@ class TestFindEigenvalues:
 
     @settings(max_examples=12, deadline=None)
     @given(V0=st.floats(0.2, 1.5), cells=st.integers(32, 96))
-    def test_phase_refinement_matches_oracle_and_golden_section(self, electron, V0, cells):
+    def test_phase_refinement_matches_oracle(self, electron, V0, cells):
         dp, half_width = binary_square_well(V0, cells)
         tol = 1e-9
         Emin, Emax, N_E = -V0 + 1e-3, -1e-4, 300
@@ -242,20 +251,11 @@ class TestFindEigenvalues:
         assert len(found) == len(exact) > 0
         for cand, e in zip(found, exact):
             assert abs(cand.energy - e) <= tol
-            i = int(np.argmin(np.abs(grid - cand.energy)))
-            e_golden, _, _ = golden_section_minimize(
-                lambda E: mismatch(dp, E, electron), grid[i - 1], grid[i + 1], tol)
-            assert abs(cand.energy - e_golden) <= tol
 
-    def test_finite_well_needs_no_golden_section(self, well, electron, golden_calls):
-        found = find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-9)
-        assert len(found) == 4
-        assert golden_calls == []
-
-    def test_phase_refinement_runs_no_full_sweep(self, well, electron, golden_calls,
-                                                 monkeypatch):
+    def test_phase_refinement_runs_no_full_sweep(self, well, electron, monkeypatch):
         # Both recursions run in full once per level, for the residual f at
-        # its root; theta and the eigenfunction run the half sweeps only.
+        # its root; theta and the eigenfunction run the half sweeps only, and
+        # the count the right recursion only.
         full = []
 
         def counted(dp, E, ctx, lo=0, hi=None):
@@ -267,24 +267,76 @@ class TestFindEigenvalues:
         found = find_eigenvalues(well, -0.999, -1e-4, 300, electron, refine_tol=1e-9)
         for cand in found:
             eigenfunction(well, cand.energy, electron)
-        assert golden_calls == []
         assert full == [c.energy for c in found] and len(found) == 4
 
-    def test_double_well_level_without_phase_bracket(self, golden_calls):
-        # The right-well search of the double well also dips at a left-well
-        # level near -0.0626 eV; theta does not change sign over that dip,
-        # so golden section refines it.
-        found = config_levels("eigen_double_well")
-        assert len(found) == 5
-        assert len(golden_calls) == 1
-        assert found[1].energy == golden_calls[0][0] == pytest.approx(-0.0626, abs=1e-4)
+    def test_double_well_level_without_phase_bracket(self, monkeypatch):
+        # The right-well search of the double well also lists a left-well
+        # level near -0.0626 eV.  theta at the right well's floor does not
+        # change sign over its dip, so the count bisects the dip until a
+        # cell of 1/512 of it brackets a root of theta.
+        cells = []
+        phase_root = eigen._phase_root
 
-    def test_molecular_level_kept_by_the_fallback(self, golden_calls):
-        # The top molecular level: f at the theta root lies above the
-        # acceptance threshold, golden section on f finds it below.
+        def recorded(theta, a, b, tol):
+            cells.append((a, b, phase_root(theta, a, b, tol)))
+            return cells[-1][2]
+
+        monkeypatch.setattr(eigen, "_phase_root", recorded)
+        found = config_levels("eigen_double_well")
+        assert [c.energy for c in found] == pytest.approx(
+            [-0.06944749457, -0.06264675953, -0.05723919859, -0.05191707063,
+             -0.04714639315], abs=1e-9)
+        around = [(a, b, root) for a, b, root in cells if a <= found[1].energy <= b]
+        assert all(root is None for _, _, root in around[:-1])
+        (a0, b0, _), (a, b, root) = around[0], around[-1]
+        assert b - a == pytest.approx((b0 - a0) / 512) and root[0] == found[1].energy
+        assert found[1].residual < 1e-3
+
+    def test_molecular_level_kept_by_the_fallback(self):
+        # The top molecular level, at theta's root: f there is 0.062, and f
+        # is lower (0.046) 9e-6 eV below it, where the count is still 4.
+        dp, ctx, _ = config_run("eigen_molecular")
         found = config_levels("eigen_molecular")
         assert len(found) == 5
-        assert found[-1].energy in [x for x, _, _ in golden_calls]
+        assert found[-1].energy == pytest.approx(-0.05437467, abs=1e-8)
+        assert found[-1].residual > 0.05
+        assert _count(dp, found[-1].energy - 1e-5, ctx) == 4
+        assert _count(dp, found[-1].energy + 1e-5, ctx) == 5
+
+    @settings(max_examples=10, deadline=None)
+    @given(dp=step_tables())
+    def test_level_count_equals_finite_difference_count(self, electron, dp):
+        # The finite-difference levels of the same nodes differ from the
+        # step table's by O((k dx)^2), so the counts may differ where a level
+        # lies within 1e-3 eV of a window end; such a table is rejected.
+        Emin, Emax = -0.6, -0.03
+        for end in (max(Emin, dp.u.min()), Emax):
+            reference = [finite_difference_count(dp, electron, end + d) for d in (-1e-3, 1e-3)]
+            assume(reference[0] == reference[1])
+        found = find_eigenvalues(dp, Emin, Emax, 40, electron)
+        assert len(found) == finite_difference_count(dp, electron, Emax)
+
+
+class TestCount:
+    def test_finite_well_oracle(self, well, electron):
+        exact = oracle.finite_well_eigenvalues(1.0, 1.0, electron)
+        between = np.concatenate(([-0.9999], (np.array(exact[1:]) + exact[:-1]) / 2, [-1e-4]))
+        assert [_count(well, E, electron) for E in between] == list(range(len(exact) + 1))
+
+    def test_harmonic_oracle(self, electron):
+        c2 = 511000.0 / (2.0 * 299.792458**2)
+        dp = discretize(make_expression(f"{c2!r}*x^2"), -3.5, 3.5, 1400)
+        levels = [oracle.reference_levels("harmonic", n, omega=1.0) for n in range(7)]
+        between = [0.1] + [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+        assert [_count(dp, E, electron) for E in between] == list(range(7))
+
+    def test_monotone_and_zero_under_the_wall(self):
+        # Under the Lennard-Jones wall Rbar is exactly 0 and e^{-2 kappa dx}
+        # underflows to 0: neither may read as a zero of the solution.
+        dp, ctx, task = config_run("eigen_molecular")
+        counts = [_count(dp, E, ctx) for E in np.linspace(task["Emin"], -1e-3, 300)]
+        assert counts[0] == 0 and counts[-1] == 5
+        assert np.all(np.diff(counts) >= 0)
 
 
 class TestEigenfunction:

@@ -12,6 +12,7 @@ from qsweep import (
     transmission,
     transmission_curve,
 )
+from conftest import transmission_peak
 from qsweep.errors import InvalidEnergyError
 
 
@@ -136,15 +137,10 @@ class TestSampleWavefunction:
 
     def test_resonant_intrawell_amplification(self, electron):
         from qsweep import REFERENCE_DOUBLE_BARRIER
-        from qsweep.eigen import golden_section_minimize
 
         spec = make_builtin("double_barrier_vwell", REFERENCE_DOUBLE_BARRIER)
         dp = discretize(spec, -5, 5, 500)
-
-        def neg_t(E):
-            return -transmission(left_sweep(dp, E, electron))[0]
-
-        e_res, _, _ = golden_section_minimize(neg_t, 0.06, 0.075, 1e-9)
+        e_res, _ = transmission_peak(dp, 0.06, 0.075, electron)
         sw = left_sweep(dp, e_res, electron)
         field = sample_wavefunction(sw, dp, np.linspace(-1.2, 1.2, 481))
         assert np.abs(field.psi).max() > 2.0 * abs(sw.A[0])
